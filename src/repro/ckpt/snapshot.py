@@ -5,7 +5,7 @@ File layout
 A checkpoint is one binary file::
 
     b"REPROCKPT\\n"            -- magic, rejects alien files cheaply
-    {"version": 1, ...}\\n      -- JSON header line (UTF-8)
+    {"version": 2, ...}\\n      -- JSON header line (UTF-8)
     <pickle blob>              -- everything else, one object graph
 
 The header carries only JSON-safe summary fields (version, policy name,
@@ -58,7 +58,10 @@ __all__ = [
 CKPT_MAGIC = b"REPROCKPT\n"
 
 #: Current checkpoint format version; bumped on incompatible changes.
-CKPT_VERSION = 1
+#: Version 2: the event heap holds plain ``Event`` tuples (version 1
+#: wrapped dataclass events in ``(sort_key, event)`` pairs) and dispatch
+#: records carry their pending ``completion_at``/``fault_at`` times.
+CKPT_VERSION = 2
 
 #: Keys every checkpoint header must carry.
 _HEADER_FIELDS = frozenset(

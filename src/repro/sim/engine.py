@@ -8,7 +8,9 @@ the optional periodic **activation** ticks of the balance-aware policy.
 At every scheduling point the engine suspends the running transaction
 (charging it the elapsed processing time; preempted work is never lost),
 lets the policy choose among all ready transactions, and dispatches the
-choice until the next event.
+choice until the next event.  A transaction the policy re-selects keeps
+its pending completion event whenever the recomputed completion time is
+bit-identical to it.
 
 Precedence is enforced by the engine, not the policies: a dependent
 transaction is reported ``ready`` only after everything in its dependency
@@ -104,6 +106,11 @@ class _Dispatch:
     #: Context-switch overhead still to be served before real work
     #: resumes (0 unless the simulator models preemption costs).
     overhead_left: float = 0.0
+    #: Time of the pending COMPLETION event issued under ``token``.
+    completion_at: float = 0.0
+    #: Time of the pending FAULT trigger issued under ``token``, or
+    #: ``None`` when the attempt completes before its next planned fault.
+    fault_at: float | None = None
 
 
 @dataclass(slots=True)
@@ -577,15 +584,24 @@ class Simulator:
             self._handle_activation(now)
 
     def _handle_completion(self, event: Event, now: float) -> None:
+        """Finish the running transaction the event was scheduled for.
+
+        A COMPLETION is pushed per dispatch that changes the completion
+        time (see :meth:`_dispatch`), so at most one event per dispatch
+        record is live; the rest are stale and return without effect.  A
+        stale event that fires alone in its batch still opens a
+        scheduling point (the run loop reschedules after every batch).
+        """
         dispatch = self._running.get(event.txn_id)
         if dispatch is None:
             return  # stale: that dispatch was preempted earlier
         if event.token != dispatch.token:
             # Usually stale (the dispatch this event was scheduled for was
-            # preempted).  One exception: preemption + re-dispatch moves
-            # the completion time by a float ulp, so the *old* event can
-            # fire first with the work already fully charged — that event
-            # IS the completion, a few ulps early.
+            # preempted, or re-issued by a stall).  One exception: a
+            # continuation whose recomputed completion time drifted by a
+            # float ulp was re-issued under a fresh token, so the *old*
+            # event can fire first with the work already fully charged —
+            # that event IS the completion, a few ulps early.
             if dispatch.txn.remaining > _EPS:
                 return
         txn = dispatch.txn
@@ -673,34 +689,26 @@ class Simulator:
                 best = ("abort", abort_at)
         return best
 
-    def _schedule_fault_trigger(
-        self, txn: Transaction, now: float, overhead: float, token: int
-    ) -> None:
-        """Arm the attempt's next fault trigger, if it precedes completion.
+    def _fault_trigger_time(
+        self, txn: Transaction, now: float, overhead: float
+    ) -> float | None:
+        """When the attempt's next fault trigger fires, if before completion.
 
-        Called at dispatch (and after a stall re-issues the completion):
+        Computed at dispatch (and after a stall re-issues the completion):
         the trigger fires once the attempt has served up to the planned
         threshold.  A preemption makes the event stale via its dispatch
         ``token`` — the work postpones, and so does the fault.
         """
         state = self._fault_state.get(txn.txn_id)
         if state is None:
-            return
+            return None
         trigger = self._pending_trigger(txn, state)
         if trigger is None:
-            return
+            return None
         delta = trigger[1] - txn.attempt_served
         if delta >= txn.remaining - 1e-12:
-            return  # the attempt completes before the fault lands
-        self._events.push(
-            Event(
-                now + overhead + max(0.0, delta),
-                EventKind.FAULT,
-                next(self._seq),
-                txn.txn_id,
-                token=token,
-            )
-        )
+            return None  # the attempt completes before the fault lands
+        return now + overhead + max(0.0, delta)
 
     def _handle_fault(self, event: Event, now: float) -> None:
         dispatch = self._running.get(event.txn_id)
@@ -736,20 +744,11 @@ class Simulator:
             # Only engine-truth remaining moved; believed aggregates
             # are untouched (a stall is invisible to the scheduler).
             self._workflows.notify_changed(txn.txn_id, "truth")
-        self._token_counter += 1
-        dispatch.token = self._token_counter
-        self._events.push(
-            Event(
-                now + dispatch.overhead_left + txn.remaining,
-                EventKind.COMPLETION,
-                next(self._seq),
-                txn.txn_id,
-                token=dispatch.token,
-            )
+        dispatch.completion_at = now + dispatch.overhead_left + txn.remaining
+        dispatch.fault_at = self._fault_trigger_time(
+            txn, now, dispatch.overhead_left
         )
-        self._schedule_fault_trigger(
-            txn, now, dispatch.overhead_left, dispatch.token
-        )
+        self._arm(dispatch)
 
     def _fire_abort(
         self, dispatch: _Dispatch, state: _FaultState, now: float
@@ -870,28 +869,19 @@ class Simulator:
         if self._shed_limit is not None:
             self._shed_overload(now)
         table = self._table
-        previous = list(self._running.values())
-        for dispatch in previous:
+        previous = self._running
+        for dispatch in previous.values():
             dispatch.txn.mark_suspended()
             table.mark_ready(dispatch.txn.txn_id)
             self._policy.on_requeue(dispatch.txn, now)
-        self._running.clear()
+        self._running = running = {}
 
-        # Continuations keep their unfinished overhead; switches pay anew.
-        # With free preemption (the paper's model) every overhead is zero
-        # — skip building the carry-over map on that hot path entirely.
-        leftover_overhead: dict[int, float] | None = (
-            {d.txn.txn_id: d.overhead_left for d in previous}
-            if self._overhead > 0.0
-            else None
-        )
         # Crashed servers accept no work until their window closes.
         available = (
             self._servers
             if self._faults is None
             else max(0, self._servers - self._down)
         )
-        dispatched: set[int] = set()
         select_seconds = 0.0
         for _ in range(available):
             if profiler is not None:
@@ -919,22 +909,16 @@ class Simulator:
                     f"policy {self._policy.name} selected finished "
                     f"transaction {candidate.txn_id}"
                 )
-            overhead = (
-                leftover_overhead.get(candidate.txn_id, self._overhead)
-                if leftover_overhead is not None
-                else 0.0
-            )
-            self._dispatch(candidate, now, overhead)
-            dispatched.add(candidate.txn_id)
+            self._dispatch(candidate, now, previous.get(candidate.txn_id))
 
-        if previous and not dispatched and available > 0:
+        if previous and not running and available > 0:
             raise SchedulingError(
                 f"policy {self._policy.name} idled while "
-                f"{sorted(d.txn.txn_id for d in previous)} were runnable"
+                f"{sorted(previous)} were runnable"
             )
-        for dispatch in previous:
+        for txn_id, dispatch in previous.items():
             txn = dispatch.txn
-            if txn.txn_id not in dispatched and not txn.is_completed:
+            if txn_id not in running and not txn.is_completed:
                 txn.preemptions += 1
                 self.preemptions += 1
                 if instrument is not None:
@@ -952,26 +936,77 @@ class Simulator:
                 now, table.ready_count, len(self._running), select_seconds
             )
 
-    def _dispatch(self, txn: Transaction, now: float, overhead: float = 0.0) -> None:
+    def _dispatch(
+        self, txn: Transaction, now: float, previous: _Dispatch | None
+    ) -> None:
+        """Hand ``txn`` a server; ``previous`` is its dispatch until now.
+
+        A switch pays the full context-switch overhead; a continuation
+        keeps the unfinished overhead of its own dispatch.  A
+        continuation whose recomputed completion and fault-trigger times
+        are bit-identical to its pending events keeps its dispatch record
+        and token: those events are exactly the ones a re-dispatch would
+        push, so nothing is re-issued.  Any drift (a float ulp from
+        recharging work or serving leftover overhead, a moved fault
+        trigger) issues fresh events under a new token.
+        """
         txn.mark_running(now)
         self._table.unmark_ready(txn.txn_id)
+        overhead = (
+            previous.overhead_left if previous is not None else self._overhead
+        )
         if self._instrument is not None:
             self._instrument.on_dispatch(txn, now, overhead)
-        self._token_counter += 1
-        self._running[txn.txn_id] = _Dispatch(
+        completion_at = now + overhead + txn.remaining
+        fault_at = (
+            self._fault_trigger_time(txn, now, overhead)
+            if self._faults is not None
+            else None
+        )
+        if (
+            previous is not None
+            and previous.completion_at == completion_at
+            and previous.fault_at == fault_at
+        ):
+            self._running[txn.txn_id] = previous
+            return
+        dispatch = _Dispatch(
             txn=txn,
             since=now,
-            token=self._token_counter,
+            token=0,  # issued by _arm
             overhead_left=overhead,
+            completion_at=completion_at,
+            fault_at=fault_at,
         )
+        self._running[txn.txn_id] = dispatch
+        self._arm(dispatch)
+
+    def _arm(self, dispatch: _Dispatch) -> None:
+        """Issue a fresh token and push the dispatch's pending events.
+
+        Events pushed under an older token of the same transaction go
+        stale; :meth:`_handle_completion` and :meth:`_handle_fault` skip
+        them when they fire.
+        """
+        self._token_counter += 1
+        token = dispatch.token = self._token_counter
+        txn_id = dispatch.txn.txn_id
         self._events.push(
             Event(
-                now + overhead + txn.remaining,
+                dispatch.completion_at,
                 EventKind.COMPLETION,
                 next(self._seq),
-                txn.txn_id,
-                token=self._token_counter,
+                txn_id,
+                token,
             )
         )
-        if self._faults is not None:
-            self._schedule_fault_trigger(txn, now, overhead, self._token_counter)
+        if dispatch.fault_at is not None:
+            self._events.push(
+                Event(
+                    dispatch.fault_at,
+                    EventKind.FAULT,
+                    next(self._seq),
+                    txn_id,
+                    token,
+                )
+            )

@@ -1,9 +1,9 @@
 """A deterministic binary-heap event queue.
 
-Thin wrapper around :mod:`heapq` that orders events by
-``(time, kind, seq)`` — see :meth:`repro.sim.events.Event.sort_key` — and
-offers the batch-pop the engine needs: all events sharing the earliest
-timestamp are handled within a single scheduling point.
+Thin wrapper around :mod:`heapq` over :class:`~repro.sim.events.Event`
+tuples, which order natively by ``(time, kind, seq)``, offering the
+batch-pop the engine needs: all events sharing the earliest timestamp
+are handled within a single scheduling point.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ __all__ = ["EventQueue"]
 
 
 class EventQueue:
-    """Min-heap of :class:`~repro.sim.events.Event` objects.
+    """Min-heap of :class:`~repro.sim.events.Event` tuples.
 
     Examples
     --------
@@ -32,33 +32,35 @@ class EventQueue:
     __slots__ = ("_heap",)
 
     def __init__(self) -> None:
-        self._heap: list[tuple[tuple[float, int, int], Event]] = []
+        self._heap: list[Event] = []
 
     def push(self, event: Event) -> None:
-        heapq.heappush(self._heap, (event.sort_key(), event))
+        heapq.heappush(self._heap, event)
 
     def peek_time(self) -> float:
         """Timestamp of the earliest pending event."""
         if not self._heap:
             raise IndexError("peek on empty event queue")
-        return self._heap[0][1].time
+        return self._heap[0][0]
 
     def pop(self) -> Event:
         if not self._heap:
             raise IndexError("pop on empty event queue")
-        return heapq.heappop(self._heap)[1]
+        return heapq.heappop(self._heap)
 
     def pop_batch(self) -> list[Event]:
         """Pop every event sharing the earliest timestamp, in kind order."""
-        if not self._heap:
+        heap = self._heap
+        if not heap:
             raise IndexError("pop_batch on empty event queue")
-        first = self.pop()
+        first = heapq.heappop(heap)
         batch = [first]
+        time = first[0]
         # repro-lint: disable=RL003 -- batch identity: only events pushed
         # with a bit-identical timestamp belong to one scheduling point; a
         # tolerance here would merge distinct points an ulp apart.
-        while self._heap and self._heap[0][1].time == first.time:
-            batch.append(self.pop())
+        while heap and heap[0][0] == time:
+            batch.append(heapq.heappop(heap))
         return batch
 
     def __len__(self) -> int:
@@ -69,4 +71,4 @@ class EventQueue:
 
     def __iter__(self) -> Iterator[Event]:
         """Iterate pending events in an unspecified (heap) order."""
-        return (entry[1] for entry in self._heap)
+        return iter(self._heap)

@@ -25,7 +25,7 @@ byte-identical to the pre-fault engine.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 __all__ = ["EventKind", "Event"]
 
@@ -42,22 +42,25 @@ class EventKind(enum.IntEnum):
     ACTIVATION = 6
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class Event(NamedTuple):
     """One scheduled simulator event.
 
-    ``token`` invalidates stale completion events: the engine bumps its
-    completion token whenever the running transaction is preempted, so a
-    completion event scheduled for the old dispatch no longer applies.
-    ``txn_id`` is ``None`` for activation ticks.
+    A plain tuple, so the heap orders events natively by
+    ``(time, kind, seq)``: by time, then kind priority, then insertion.
+    Sequence numbers are unique, so a comparison never reaches
+    ``txn_id`` or ``token``.  ``txn_id`` is ``None`` for activation
+    ticks and crash transitions.
+
+    ``token`` ties a completion or fault-trigger event to the dispatch
+    that scheduled it.  The engine issues a fresh token whenever it
+    moves a transaction's completion time (a switch, a drifted
+    continuation, a stall), so an event scheduled under an older one no
+    longer applies.  A transaction the policy re-selects with unchanged
+    event times keeps its token, and its pending events stay live.
     """
 
     time: float
     kind: EventKind
     seq: int
     txn_id: int | None = None
-    token: int = field(default=0)
-
-    def sort_key(self) -> tuple[float, int, int]:
-        """Heap ordering: by time, then kind priority, then insertion."""
-        return (self.time, int(self.kind), self.seq)
+    token: int = 0

@@ -101,6 +101,28 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(checkpoint_path)
 
+    def test_v1_checkpoint_rejected_at_load(self, checkpoint_path):
+        # Format 1 kept the event heap as ``(sort_key, event)`` wrappers
+        # around dataclass events; resuming one on the tuple-event engine
+        # would crash at the first heap comparison.  The header version
+        # must stop it at load instead.
+        assert CKPT_VERSION == 2
+        data = checkpoint_path.read_bytes()
+        end = data.index(b"\n", len(CKPT_MAGIC))
+        header = json.loads(data[len(CKPT_MAGIC) : end])
+        blob = pickle.loads(data[end + 1 :])
+        queue = blob["core"]["_events"]
+        queue._heap = [(tuple(event[:3]), event) for event in queue._heap]
+        header["version"] = 1
+        checkpoint_path.write_bytes(
+            CKPT_MAGIC
+            + json.dumps(header, separators=(",", ":")).encode()
+            + b"\n"
+            + pickle.dumps(blob)
+        )
+        with pytest.raises(CheckpointError, match="checkpoint version 1"):
+            load_checkpoint(checkpoint_path)
+
     def test_torn_payload(self, checkpoint_path):
         data = checkpoint_path.read_bytes()
         checkpoint_path.write_bytes(data[: len(data) // 2])

@@ -5,6 +5,8 @@ forward-pointing dependency edges) and check that every policy upholds
 the physical invariants of a single work-conserving server.
 """
 
+import math
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,8 @@ from hypothesis import given, settings
 from repro.core.transaction import Transaction
 from repro.policies.registry import available_policies, make_policy
 from repro.sim.engine import Simulator
+from repro.workload.generator import generate
+from repro.workload.spec import WorkloadSpec
 
 # ---------------------------------------------------------------------------
 # Strategies.
@@ -167,3 +171,84 @@ def test_schedules_pass_the_validator(name, txns):
 
     res = Simulator(txns, _make(name), record_trace=True).run()
     validate_schedule(res.trace, txns)
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic oracle: power-of-two time scaling.
+# ---------------------------------------------------------------------------
+
+_SCALE_EXPONENTS = [-3, -2, -1, 1, 2, 3]
+
+
+def _scaled_policy(name, k):
+    """A fresh registry policy whose time-valued parameters scale by 2**k.
+
+    MIX ranks by ``d - tradeoff * w``, so ``tradeoff`` carries time units;
+    balance-aware's ``time_rate`` is activations per time unit.
+    """
+    if name == "mix":
+        return make_policy(name, tradeoff=math.ldexp(1.0, k))
+    if name == "balance-aware":
+        return make_policy(name, time_rate=math.ldexp(0.01, -k))
+    return make_policy(name)
+
+
+def _scaled_pool(txns, k):
+    return [
+        Transaction(
+            txn_id=t.txn_id,
+            arrival=math.ldexp(t.arrival, k),
+            length=math.ldexp(t.length, k),
+            deadline=math.ldexp(t.deadline, k),
+            weight=t.weight,
+            depends_on=t.depends_on,
+            length_estimate=math.ldexp(t.length_estimate, k),
+        )
+        for t in txns
+    ]
+
+
+@pytest.fixture(scope="module")
+def scaling_inputs():
+    """Fault-free inputs with exact estimates, with and without workflows."""
+    inputs = []
+    for with_workflows in (False, True):
+        spec = WorkloadSpec(
+            n_transactions=120,
+            utilization=0.9,
+            weighted=True,
+            with_workflows=with_workflows,
+        )
+        for seed in (1, 2):
+            inputs.append(generate(spec, seed).transactions)
+    return inputs
+
+
+@pytest.mark.parametrize("name", available_policies())
+def test_power_of_two_time_scaling_is_exact(name, scaling_inputs):
+    # Multiplying every time quantity by 2**k is exact in binary floating
+    # point, so each sum, difference and comparison the engine and the
+    # policy make is the unscaled one times 2**k.  The decision sequence
+    # must not move, and tardiness must scale to the bit.  This needs no
+    # second implementation: a tie-break, cache or tolerance that leaks
+    # absolute time breaks it.
+    from repro.sim.validation import validate_schedule
+
+    def finish_order(result):
+        ordered = sorted(result.records, key=lambda r: (r.finish, r.txn_id))
+        return [r.txn_id for r in ordered]
+
+    for txns in scaling_inputs:
+        base_pool = _scaled_pool(txns, 0)
+        base = Simulator(
+            base_pool, _scaled_policy(name, 0), record_trace=True
+        ).run()
+        validate_schedule(base.trace, base_pool)
+        for k in _SCALE_EXPONENTS:
+            res = Simulator(_scaled_pool(txns, k), _scaled_policy(name, k)).run()
+            assert finish_order(res) == finish_order(base), f"k={k}"
+            assert res.scheduling_points == base.scheduling_points, f"k={k}"
+            assert res.total_preemptions == base.total_preemptions, f"k={k}"
+            assert res.average_tardiness == math.ldexp(
+                base.average_tardiness, k
+            ), f"k={k}"

@@ -4,9 +4,12 @@ import pytest
 
 from repro.core.transaction import Transaction
 from repro.errors import SchedulingError, SimulationError
+from repro.obs.recorder import Recorder
 from repro.policies import EDF, FCFS, SRPT
 from repro.policies.base import Scheduler
 from repro.sim.engine import Simulator
+from repro.sim.event_queue import EventQueue
+from repro.sim.events import EventKind
 from tests.conftest import chain, make_txn
 
 
@@ -124,6 +127,85 @@ class TestDependencies:
         sim = Simulator(txns, FCFS())
         sim.run()
         assert sim.scheduling_points >= 3
+
+
+@pytest.fixture
+def event_log(monkeypatch):
+    """Every event pushed to and popped from any queue, in order."""
+    log = {"pushed": [], "popped": []}
+    push, pop_batch = EventQueue.push, EventQueue.pop_batch
+
+    def logged_push(self, event):
+        log["pushed"].append(event)
+        push(self, event)
+
+    def logged_pop_batch(self):
+        batch = pop_batch(self)
+        log["popped"].extend(batch)
+        return batch
+
+    monkeypatch.setattr(EventQueue, "push", logged_push)
+    monkeypatch.setattr(EventQueue, "pop_batch", logged_pop_batch)
+    return log
+
+
+def _completions(events, txn_id):
+    return [
+        e.time
+        for e in events
+        if e.kind is EventKind.COMPLETION and e.txn_id == txn_id
+    ]
+
+
+class TestContinuation:
+    """A re-selected transaction keeps its pending completion event."""
+
+    def test_kept_server_means_one_completion_event(self, event_log):
+        running = make_txn(1, arrival=0.0, length=5.0, deadline=6.0)
+        later = make_txn(2, arrival=1.0, length=5.0, deadline=50.0)
+        recorder = Recorder()
+        sim = Simulator([running, later], EDF(), instrument=recorder)
+        res = sim.run()
+        assert _completions(event_log["pushed"], 1) == [5.0]
+        assert _completions(event_log["popped"], 1) == [5.0]
+        assert res.record_of(1).finish == 5.0
+        assert res.record_of(2).finish == 10.0
+        assert (sim.scheduling_points, sim.preemptions) == (3, 0)
+        # The policy still re-decided at the arrival: the log keeps the
+        # continuation's dispatch record.
+        dispatches = [
+            e["t"]
+            for e in recorder.events
+            if e["kind"] == "dispatch" and e["txn"] == 1
+        ]
+        assert dispatches == [0.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "length, pending, recomputed, finish_1",
+        [
+            # Recomputed time an ulp later: the pending event completes
+            # the transaction, the fresh one fires alone as stale.
+            (0.5, 0.6, 0.6000000000000001, 0.6),
+            # An ulp earlier: the fresh event completes it.
+            (1.2, 1.3, 1.2999999999999998, 1.2999999999999998),
+        ],
+    )
+    def test_ulp_drift_reissues_the_completion(
+        self, event_log, length, pending, recomputed, finish_1
+    ):
+        # Arrival at 0.1, interrupted at 0.2: 0.2 + (length - 0.1)
+        # differs from 0.1 + length by one ulp.
+        running = make_txn(1, arrival=0.1, length=length, deadline=5.0)
+        later = make_txn(2, arrival=0.2, length=1.0, deadline=50.0)
+        sim = Simulator([running, later], EDF())
+        res = sim.run()
+        assert _completions(event_log["pushed"], 1) == [pending, recomputed]
+        # Two arrivals, the completion, and the lone stale event: each
+        # opens a scheduling point (the final completion ends the run).
+        assert (sim.scheduling_points, sim.preemptions) == (4, 0)
+        assert res.record_of(1).finish == finish_1
+        assert res.record_of(2).finish == finish_1 + 1.0
+        assert res.record_of(1).preemptions == 0
 
 
 class TestReplay:

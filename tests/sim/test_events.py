@@ -8,11 +8,22 @@ def test_kind_priority_order():
     assert EventKind.COMPLETION < EventKind.ARRIVAL < EventKind.ACTIVATION
 
 
-def test_sort_key_orders_by_time_then_kind_then_seq():
+def test_native_order_is_time_then_kind_then_seq():
     e1 = Event(1.0, EventKind.ARRIVAL, seq=5, txn_id=1)
     e2 = Event(1.0, EventKind.COMPLETION, seq=9, txn_id=2)
     e3 = Event(0.5, EventKind.ACTIVATION, seq=1)
-    assert sorted([e1, e2, e3], key=Event.sort_key) == [e3, e2, e1]
+    assert sorted([e1, e2, e3]) == [e3, e2, e1]
+
+
+def test_unique_seq_decides_before_txn_id_and_token():
+    # Equal time and kind: the lower seq wins even against a lower
+    # txn_id/token, so ordering never depends on fields past ``seq``
+    # (and never compares ``None`` with an int).
+    later = Event(1.0, EventKind.COMPLETION, seq=2, txn_id=0, token=0)
+    earlier = Event(1.0, EventKind.COMPLETION, seq=1, txn_id=9, token=9)
+    assert sorted([later, earlier]) == [earlier, later]
+    crash = Event(1.0, EventKind.CRASH, seq=3)
+    assert crash < Event(1.0, EventKind.CRASH, seq=4, txn_id=1)
 
 
 def test_events_are_frozen():
