@@ -61,7 +61,11 @@ CKPT_MAGIC = b"REPROCKPT\n"
 #: Version 2: the event heap holds plain ``Event`` tuples (version 1
 #: wrapped dataclass events in ``(sort_key, event)`` pairs) and dispatch
 #: records carry their pending ``completion_at``/``fault_at`` times.
-CKPT_VERSION = 2
+#: Version 3: the pickled ``ASETSStar`` has a single select path (no
+#: ``incremental`` flag, no active-workflow dict); a version-2 snapshot
+#: of its old reference-scan mode carries empty heaps and would resume
+#: with wrong decisions.
+CKPT_VERSION = 3
 
 #: Keys every checkpoint header must carry.
 _HEADER_FIELDS = frozenset(

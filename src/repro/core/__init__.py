@@ -12,8 +12,9 @@ This subpackage defines the vocabulary of the paper's Section II:
 * :class:`~repro.core.workflow_set.WorkflowSet` — the network of workflows
   over a transaction pool, with the bookkeeping the scheduler needs.
 * :mod:`~repro.core.slack` — slack and lateness helpers (Definition 2).
-* :mod:`~repro.core.priorities` — the priority key functions used by the
-  baseline policies (Section II-C).
+
+The policies' priority keys (Section II-C) live with the policies, in
+:mod:`repro.policies.ordering` and each baseline's ``key``.
 """
 
 from repro.core.transaction import Transaction, TransactionState

@@ -157,7 +157,7 @@ class Workflow:
         self._dirty = True
         self._rep: RepresentativeView | None = None
         # Plain-slot aggregate mirror of the representative view, valid
-        # after refresh() while has_pending is True.  The incremental
+        # after _refresh() while has_pending is True.  The incremental
         # ASETS* hot path reads these directly — no snapshot allocation
         # per touched workflow per scheduling point.  rep_true_remaining
         # is the engine-truth minimum, swept lazily at view build (see
@@ -399,28 +399,6 @@ class Workflow:
                 scheduling_remaining=self.rep_scheduling_remaining,
             )
         return rep
-
-    def peek(self) -> tuple[RepresentativeView | None, Transaction | None]:
-        """Representative and head in one call (one cache check).
-
-        Fusing the two accessors guarantees the pair is read from the
-        *same* refresh — a sort or decision can never pair one refresh's
-        representative with another's head.
-        """
-        if self._dirty:
-            self._refresh()
-        if not self.has_pending:
-            return None, None
-        return self.representative(), self.head_txn
-
-    def refresh(self) -> None:
-        """Recompute the ``rep_*`` / ``head_txn`` slots if invalidated.
-
-        The allocation-free companion to :meth:`peek` for hot paths that
-        read the slot aggregates directly.
-        """
-        if self._dirty:
-            self._refresh()
 
     def _refresh(self) -> None:
         # One fused pass over the members replaces the previous four

@@ -224,13 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="policy registry name for 'run'/'profile' (default asets)",
     )
     group.add_argument(
-        "--scan-select",
-        action="store_true",
-        help="asets-star only: select by the reference full-list rescan "
-        "instead of the incremental heaps (decision-identical; for "
-        "debugging the incremental structures and measuring their win)",
-    )
-    group.add_argument(
         "--utilization",
         type=float,
         default=DEFAULT_PROBE_UTILIZATION,
@@ -370,13 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _policy_spec(args: argparse.Namespace) -> PolicySpec:
-    """The run/profile target's policy, honouring ``--scan-select``."""
-    if getattr(args, "scan_select", False):
-        return PolicySpec.of(args.policy, incremental=False)
-    return PolicySpec.of(args.policy)
-
-
 def _config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig().scaled(args.n, args.seeds)
 
@@ -511,7 +497,6 @@ def _run_metadata(args: argparse.Namespace) -> dict:
     return {
         "target": "run",
         "policy": args.policy,
-        "scan_select": bool(args.scan_select),
         "n": args.n,
         "seed": args.seed,
         "utilization": args.utilization,
@@ -572,7 +557,7 @@ def _run_streaming(args: argparse.Namespace, fault_spec=None) -> int:
         if interval is None:
             result, recorder = run_policy_streaming(
                 workload,
-                _policy_spec(args),
+                PolicySpec.of(args.policy),
                 window=args.window,
                 sink=sink,
                 sample=args.events_sample,
@@ -613,7 +598,7 @@ def _run_streaming(args: argparse.Namespace, fault_spec=None) -> int:
                 )
             result = Simulator(
                 workload.transactions,
-                _policy_spec(args).make(),
+                PolicySpec.of(args.policy).make(),
                 workflow_set=workload.workflow_set,
                 instrument=MultiInstrument([recorder, Heartbeat(interval)]),
                 faults=plan,
@@ -669,13 +654,13 @@ def _run_profile(args: argparse.Namespace, fault_spec=None) -> int:
     warmup = generate(
         WorkloadSpec(n_transactions=100, utilization=args.utilization), seed=1
     )
-    run_policy_on(warmup, _policy_spec(args), profiler=PhaseProfiler())
+    run_policy_on(warmup, PolicySpec.of(args.policy), profiler=PhaseProfiler())
 
     spec = WorkloadSpec(n_transactions=args.n, utilization=args.utilization)
     workload = generate(spec, seed=args.seed)
     profiler = PhaseProfiler()
     result = run_policy_on(
-        workload, _policy_spec(args), faults=fault_spec, profiler=profiler
+        workload, PolicySpec.of(args.policy), faults=fault_spec, profiler=profiler
     )
     snapshot = profiler.snapshot(args.policy)
     print(snapshot.render())
@@ -744,7 +729,7 @@ def _run_instrumented(args: argparse.Namespace, fault_spec=None) -> int:
         )
     result = run_policy_on(
         workload,
-        _policy_spec(args),
+        PolicySpec.of(args.policy),
         instrument=instrument,
         faults=fault_spec,
         profiler=profiler,
@@ -1023,11 +1008,6 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         parser.error("--profile-out applies to the 'run' and 'profile' targets")
     if args.flame_out and args.target != "profile":
         parser.error("--flame-out/--flame-format apply to the 'profile' target")
-    if args.scan_select and args.policy != "asets-star":
-        parser.error(
-            "--scan-select applies only to --policy asets-star "
-            "(the incremental/scan split exists only there)"
-        )
     if args.checkpoint_every is not None or args.checkpoint_out is not None:
         if args.target != "run":
             parser.error(

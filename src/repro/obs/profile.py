@@ -21,10 +21,11 @@ time into named phases instead of the single ``select_s`` lump:
 
 **Policy probes.**  Policies attribute their internal select stages via
 a :class:`Probe` (``with probe.span("scan"): ...``).  The engine attaches
-the probe at bind time only when a profiler is present, so the
-profiler-off hot path keeps its zero-cost contract (RL001 / the
-overhead-guard test): a policy pays one ``self._probe is None`` check
-and nothing else.  Spans may nest; a nested span records under the
+the probe at bind time only when a profiler is present, and
+:meth:`~repro.policies.base.Scheduler.attach_probe` wraps the policy's
+stage methods in spans only then, so the profiler-off hot path keeps
+its zero-cost contract (RL001 / the overhead-guard test): the policy
+runs its plain methods.  Spans may nest; a nested span records under the
 joined path (``"scan/feasibility"``).  Probe spans are **select-scoped**
 by convention — they must only fire inside ``select`` — because the
 select overhead correction counts them per scheduling point.
@@ -247,8 +248,8 @@ class Probe:
 
     ``with probe.span("scan"): ...`` attributes the block's wall time to
     the named probe phase.  The probe only exists while a profiler is
-    attached; a policy without one holds ``None`` and pays a single
-    ``is None`` check (the zero-cost-when-off contract).
+    attached; a policy without one runs its stage methods unwrapped
+    (the zero-cost-when-off contract).
     """
 
     __slots__ = ("_profiler",)

@@ -35,14 +35,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import TYPE_CHECKING
 
 from repro.core.transaction import Transaction, TransactionState
 from repro.policies.base import Scheduler
 from repro.policies.ordering import hdf_rank
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.profile import Probe
 
 __all__ = ["ASETS", "negative_impact_edf", "negative_impact_srpt"]
 
@@ -79,6 +75,12 @@ class ASETS(Scheduler):
     """
 
     name = "asets"
+    _stages = {
+        "_migrate_expired": "migrate",
+        "_top_edf": "top-edf",
+        "_top_srpt": "top-srpt",
+        "_decide": "decide",
+    }
 
     def __init__(self, weighted: bool = False) -> None:
         super().__init__()
@@ -214,24 +216,10 @@ class ASETS(Scheduler):
     # The ASETS decision (Equation 1 / Figure 7).
     # ------------------------------------------------------------------
     def select(self, now: float) -> Transaction | None:
-        probe = self._probe
-        if probe is not None:
-            return self._profiled_select(now, probe)
         self._migrate_expired(now)
         t_edf = self._top_edf(now)
         t_srpt = self._top_srpt(now)
         return self._decide(t_edf, t_srpt, now)
-
-    def _profiled_select(self, now: float, probe: "Probe") -> Transaction | None:
-        """The same decision as :meth:`select`, stage-attributed."""
-        with probe.span("migrate"):
-            self._migrate_expired(now)
-        with probe.span("top-edf"):
-            t_edf = self._top_edf(now)
-        with probe.span("top-srpt"):
-            t_srpt = self._top_srpt(now)
-        with probe.span("decide"):
-            return self._decide(t_edf, t_srpt, now)
 
     def _decide(
         self,

@@ -12,8 +12,8 @@ still meet its deadline, :math:`t + r_{rep,A} \\le d_{rep,A}`; otherwise it
 sits on the HDF-List (which reduces to an SRPT-List under equal weights).
 The EDF-List is ordered by :math:`d_{rep}`, the HDF-List by density
 :math:`w_{rep}/r_{rep}`.  Membership, both orderings and the density
-guard are defined once, in :mod:`repro.policies.ordering`, and shared by
-every code path below (reference scan, incremental heaps, introspection).
+guard are defined once, in :mod:`repro.policies.ordering`, and shared
+with the reference rescan the test suite checks this policy against.
 
 The winner is decided by weighted negative impact (Figure 7):
 
@@ -37,11 +37,8 @@ have (§II-A) — and is forbidden by lint rule RL008.
 
 Incremental selection
 ---------------------
-Historically ``select`` re-scanned every active workflow at each
-scheduling point — O(active), and the dominant engine cost at scale
-(BENCH_engine.json).  The default implementation now maintains the two
-lists *across* points as lazy-deletion heaps over workflows, dropping
-select to O(log n) amortized:
+``select`` keeps the two lists *across* scheduling points as
+lazy-deletion heaps over workflows, O(log n) amortized per point:
 
 * ``_edf`` holds ``(d_rep, wf_id, serial, wf)``, ``_hdf`` holds
   ``(hdf_rank, wf_id, serial, wf)``; a third heap ``_alarm`` holds the
@@ -70,7 +67,7 @@ select to O(log n) amortized:
   it back to feasible).  All other hooks are strong.
 * **Lazy migration**: while a workflow waits, its believed remaining
   time is frozen, so it leaves the EDF-List exactly when the clock
-  passes ``d_rep - r_rep``.  ``_migrate_expired`` pops alarms strictly
+  passes ``d_rep - r_rep``.  ``_migrate`` pops alarms strictly
   below ``now`` and moves the workflow to the HDF side.  The threshold
   is a *wake-up*, never the membership test itself: membership is
   re-judged by :func:`~repro.policies.ordering.feasible_at`, and an
@@ -84,11 +81,6 @@ select to O(log n) amortized:
   dispatched this point, or its ready member is blocked) is simply
   popped: the head's next lifecycle hook — requeue, completion or
   fault; every state change has one — re-places the workflow.
-
-``ASETSStar(incremental=False)`` retains the original full-scan
-implementation as the reference: both paths share the predicate, keys
-and decision rule, and the property suite asserts they are
-decision-identical across random workloads.
 """
 
 from __future__ import annotations
@@ -96,26 +88,16 @@ from __future__ import annotations
 from heapq import heappop, heappush
 
 from repro.core.transaction import Transaction, TransactionState
-from repro.core.workflow import RepresentativeView, Workflow
+from repro.core.workflow import Workflow
 from repro.errors import SchedulingError
 from repro.policies.base import Scheduler
-from repro.policies.ordering import (
-    edf_key,
-    feasible_at,
-    hdf_key,
-    hdf_rank,
-    latest_start,
-)
 
 __all__ = ["ASETSStar"]
 
 _READY = TransactionState.READY
 
-#: Inlined ``ordering.hdf_rank`` guard value for the flat hot path.
+#: The ``ordering.hdf_rank`` guard value: zero believed remaining ranks first.
 _NEG_INF = float("-inf")
-
-#: Everything a decision needs about one list top, looked up exactly once.
-_Entry = tuple[Workflow, RepresentativeView, Transaction]
 
 #: Heap entry: (sort key, wf_id tie-break, validity serial, workflow).
 _HeapEntry = tuple[float, int, int, Workflow]
@@ -127,12 +109,20 @@ class ASETSStar(Scheduler):
     name = "asets-star"
     requires_workflows = True
 
-    def __init__(self, incremental: bool = True) -> None:
+    # One top-level span covering the whole select (the attribution
+    # contract is over top-level spans), with nested spans carrying the
+    # per-stage breakdown.
+    _stages = {
+        "_select": "incremental",
+        "_drain": "touch",
+        "_migrate": "migrate",
+        "_top_edf": "top-edf",
+        "_top_hdf": "top-hdf",
+        "_decide": "decide",
+    }
+
+    def __init__(self) -> None:
         super().__init__()
-        self._incremental = incremental
-        self._active: dict[int, Workflow] = {}
-        # Incremental-mode state (unused when incremental=False).
-        #
         # _dirty: structural touches (arrival/ready/completion/fault) —
         #   membership or deadlines may have changed; full re-key.
         # _dirty_weak: requeue touches — only a member's believed
@@ -142,42 +132,26 @@ class ASETSStar(Scheduler):
         #   need re-keying.  Most scheduling points produce exactly one
         #   weak touch (the suspended transaction), so this distinction
         #   is the difference between O(log n) and O(members) per point.
-        # _serial: per-workflow entry validity counter.
-        # _side: current live placement, ``None`` when no valid entries
-        #   are in any heap.  ``(True, deadline, alarm_threshold)`` for
-        #   the EDF side, ``(False, rank)`` for the HDF side.  Carrying
-        #   the live keys lets a re-key *keep* the existing entries when
-        #   the recomputed key is unchanged (no serial bump, no pushes,
-        #   no stale entries to pop later) — the common case for
-        #   arrivals of later members and completions of non-critical
-        #   ones.
         self._dirty: dict[int, Workflow] = {}
         self._dirty_weak: dict[int, Workflow] = {}
         # Dense arrays indexed by wf_id (WorkflowSet ids are 0..n-1,
-        # sized at bind time): a serial bump orphans heap entries, a
-        # ``None`` side means no live placement.
+        # sized at bind time).  _serial: per-workflow entry validity
+        # counter; a bump orphans the workflow's heap entries.  _side:
+        # the current live placement, ``None`` when no valid entries are
+        # in any heap, ``(True, deadline, alarm_threshold)`` for the EDF
+        # side, ``(False, rank)`` for the HDF side.  Carrying the live
+        # keys lets a re-key *keep* the existing entries when the
+        # recomputed key is unchanged (no serial bump, no pushes, no
+        # stale entries to pop later) — the common case for arrivals of
+        # later members and completions of non-critical ones.
         self._serial: list[int] = []
         self._side: list[tuple | None] = []
         self._edf: list[_HeapEntry] = []
         self._hdf: list[_HeapEntry] = []
         self._alarm: list[_HeapEntry] = []
-        # One-attribute-read bundle for the flat select path: a single
-        # unpack replaces eight attribute loads per scheduling point.
-        # Rebuilt in bind(), which resizes the dense arrays.
-        self._hot = (
-            self._dirty,
-            self._dirty_weak,
-            self._serial,
-            self._side,
-            self._edf,
-            self._hdf,
-            self._alarm,
-            self._active,
-        )
 
     def bind(self, transactions, workflow_set) -> None:  # type: ignore[no-untyped-def]
         super().bind(transactions, workflow_set)
-        self._active.clear()
         self._dirty.clear()
         self._dirty_weak.clear()
         n_workflows = 0 if workflow_set is None else len(workflow_set)
@@ -186,30 +160,16 @@ class ASETSStar(Scheduler):
         self._edf.clear()
         self._hdf.clear()
         self._alarm.clear()
-        self._hot = (
-            self._dirty,
-            self._dirty_weak,
-            self._serial,
-            self._side,
-            self._edf,
-            self._hdf,
-            self._alarm,
-            self._active,
-        )
 
     # ------------------------------------------------------------------
-    # Bookkeeping: track workflows that have at least one pending member.
+    # Lifecycle hooks: mark the touched workflows dirty.
     # ------------------------------------------------------------------
     def on_arrival(self, txn: Transaction, now: float) -> None:
         if self._workflow_set is None:
             raise SchedulingError("ASETS* requires a workflow set")
-        incremental = self._incremental
-        for wf in self._workflow_set.member_workflows(txn.txn_id):
-            self._active[wf.wf_id] = wf
-            if incremental:
-                self._dirty[wf.wf_id] = wf
+        self._touch(txn, self._dirty)
 
-    def _touch(self, txn: Transaction) -> None:
+    def _touch(self, txn: Transaction, dirty: dict[int, Workflow]) -> None:
         """Mark the transaction's workflows for re-keying at next select.
 
         Deferred on purpose: the engine calls policy hooks *before*
@@ -222,314 +182,50 @@ class ASETSStar(Scheduler):
         workflow_set = self._workflow_set
         if workflow_set is None:
             return
-        dirty = self._dirty
         for wf in workflow_set.member_workflows(txn.txn_id):
             dirty[wf.wf_id] = wf
 
     def on_ready(self, txn: Transaction, now: float) -> None:
-        if self._incremental:
-            self._touch(txn)
+        self._touch(txn, self._dirty)
 
     def on_requeue(self, txn: Transaction, now: float) -> None:
         # Weak touch: the believed remaining time was charged while the
         # transaction ran, but workflow membership and deadlines are
         # untouched — see the drain for what little this requires.
-        if self._incremental:
-            workflow_set = self._workflow_set
-            if workflow_set is None:
-                return
-            weak = self._dirty_weak
-            for wf in workflow_set.member_workflows(txn.txn_id):
-                weak[wf.wf_id] = wf
+        self._touch(txn, self._dirty_weak)
 
     def on_completion(self, txn: Transaction, now: float) -> None:
-        if self._incremental:
-            self._touch(txn)
+        self._touch(txn, self._dirty)
 
     def on_fault(self, txn: Transaction, now: float) -> None:
         # Abort (rollback resets the belief), retry scheduling and shed
         # all change representative values outside the normal lifecycle.
-        if self._incremental:
-            self._touch(txn)
+        self._touch(txn, self._dirty)
 
     # ------------------------------------------------------------------
-    # Selection.
+    # Selection.  The stages read the workflows' plain-slot aggregates
+    # (``rep_*``, ``head_txn``) after a refresh, never ``representative()``:
+    # no snapshot is allocated per touched workflow per point.  The
+    # :mod:`repro.policies.ordering` predicates are inlined, each marked
+    # with the function it transcribes: calling them cost about 7% of
+    # whole-run time on 2x10^4-transaction workflow runs.  The reference
+    # rescan in the test suite calls the functions themselves, and the
+    # byte-identity suite pins the two to the same decisions.
     # ------------------------------------------------------------------
     def select(self, now: float) -> Transaction | None:
-        probe = self._probe
-        if not self._incremental:
-            if probe is None:
-                top_edf, top_hdf = self._scan(now)
-            else:
-                with probe.span("scan"):
-                    top_edf, top_hdf = self._scan(now)
-        elif probe is None:
-            # Flat hot path: the probed branch below runs the same logic
-            # through the modular helpers (`_drain` etc.) so spans can
-            # bracket each stage; the profiling-neutrality test pins the
-            # two branches to identical decisions.  Predicates and keys
-            # are inlined from :mod:`repro.policies.ordering` — the
-            # shared definitions remain the spec, and the scan-identity
-            # property suite is what keeps this transcription honest.
-            (
-                strong,
-                weak,
-                serials,
-                side,
-                edf_heap,
-                hdf_heap,
-                alarms,
-                active,
-            ) = self._hot
-            push = heappush
-            pop = heappop
-            ready = _READY
+        return self._select(now)
 
-            # Touch drain (see _drain): weak requeue touches on a live
-            # EDF placement need nothing at all.
-            if weak:
-                for wf_id, wf in weak.items():
-                    if wf_id not in strong:
-                        s = side[wf_id]
-                        if s is None or not s[0]:
-                            strong[wf_id] = wf
-                weak.clear()
-            if strong:
-                for wf_id, wf in strong.items():
-                    # Slot reads, not peek(): the aggregates are plain
-                    # floats on the workflow after refresh, so the hot
-                    # path never allocates a representative snapshot.
-                    if wf._dirty:
-                        wf._refresh()
-                    if not wf.has_pending:
-                        active.pop(wf_id, None)
-                        serials[wf_id] += 1
-                        side[wf_id] = None
-                        continue
-                    head = wf.head_txn
-                    if head is None or head.state is not ready:
-                        if side[wf_id] is not None:
-                            serials[wf_id] += 1
-                            side[wf_id] = None
-                        continue
-                    deadline = wf.rep_deadline
-                    remaining = wf.rep_scheduling_remaining
-                    s = side[wf_id]
-                    if now + remaining <= deadline:  # ordering.feasible_at
-                        thr = deadline - remaining  # ordering.latest_start
-                        if (
-                            s is not None
-                            and s[0]
-                            # repro-lint: disable=RL003 -- cached heap-key identity, not arithmetic
-                            and s[1] == deadline
-                            and thr >= s[2]
-                        ):
-                            continue  # live entries still correctly keyed
-                        serial = serials[wf_id] + 1
-                        serials[wf_id] = serial
-                        push(edf_heap, (deadline, wf_id, serial, wf))
-                        push(alarms, (thr, wf_id, serial, wf))
-                        side[wf_id] = (True, deadline, thr)
-                    else:
-                        rank = (  # ordering.hdf_rank
-                            _NEG_INF
-                            if remaining <= 0.0
-                            else -(wf.rep_weight / remaining)
-                        )
-                        if s is not None and not s[0] and s[1] == rank:
-                            continue
-                        serial = serials[wf_id] + 1
-                        serials[wf_id] = serial
-                        push(hdf_heap, (rank, wf_id, serial, wf))
-                        side[wf_id] = (False, rank)
-                strong.clear()
-
-            # Feasibility-flip migration (see _migrate_expired).
-            while alarms and alarms[0][0] < now:
-                _, wf_id, serial, wf = pop(alarms)
-                if serials[wf_id] != serial:
-                    continue
-                if wf._dirty:
-                    wf._refresh()
-                if not wf.has_pending:
-                    active.pop(wf_id, None)
-                    serials[wf_id] += 1
-                    side[wf_id] = None
-                    continue
-                deadline = wf.rep_deadline
-                remaining = wf.rep_scheduling_remaining
-                if now + remaining <= deadline:
-                    thr = deadline - remaining
-                    if thr < now:
-                        thr = now
-                    push(alarms, (thr, wf_id, serial, wf))
-                    side[wf_id] = (True, deadline, thr)
-                    continue
-                serial += 1
-                serials[wf_id] = serial
-                head = wf.head_txn
-                if head is None or head.state is not ready:
-                    side[wf_id] = None
-                    continue
-                rank = (
-                    _NEG_INF
-                    if remaining <= 0.0
-                    else -(wf.rep_weight / remaining)
-                )
-                push(hdf_heap, (rank, wf_id, serial, wf))
-                side[wf_id] = (False, rank)
-
-            # EDF top (see _top_edf), feasibility re-judged at peek.
-            head_edf = None
-            edf_d = edf_b = edf_w = 0.0
-            while edf_heap:
-                _, wf_id, serial, wf = edf_heap[0]
-                if serials[wf_id] != serial:
-                    pop(edf_heap)
-                    continue
-                if wf._dirty:
-                    wf._refresh()
-                if not wf.has_pending:
-                    pop(edf_heap)
-                    active.pop(wf_id, None)
-                    serials[wf_id] += 1
-                    side[wf_id] = None
-                    continue
-                remaining = wf.rep_scheduling_remaining
-                if now + remaining > wf.rep_deadline:
-                    pop(edf_heap)
-                    serial += 1
-                    serials[wf_id] = serial
-                    head = wf.head_txn
-                    if head is not None and head.state is ready:
-                        rank = (
-                            _NEG_INF
-                            if remaining <= 0.0
-                            else -(wf.rep_weight / remaining)
-                        )
-                        push(hdf_heap, (rank, wf_id, serial, wf))
-                        side[wf_id] = (False, rank)
-                    else:
-                        side[wf_id] = None
-                    continue
-                head = wf.head_txn
-                if head is None or head.state is not ready:
-                    pop(edf_heap)
-                    serials[wf_id] = serial + 1
-                    side[wf_id] = None
-                    continue
-                head_edf = head
-                edf_d = wf.rep_deadline
-                edf_b = remaining
-                edf_w = wf.rep_weight
-                break
-
-            # HDF top (see _top_hdf), no feasibility re-check needed.
-            head_hdf = None
-            hdf_w = 0.0
-            while hdf_heap:
-                _, wf_id, serial, wf = hdf_heap[0]
-                if serials[wf_id] != serial:
-                    pop(hdf_heap)
-                    continue
-                if wf._dirty:
-                    wf._refresh()
-                if not wf.has_pending:
-                    pop(hdf_heap)
-                    active.pop(wf_id, None)
-                    serials[wf_id] += 1
-                    side[wf_id] = None
-                    continue
-                head = wf.head_txn
-                if head is None or head.state is not ready:
-                    pop(hdf_heap)
-                    serials[wf_id] = serial + 1
-                    side[wf_id] = None
-                    continue
-                head_hdf = head
-                hdf_w = wf.rep_weight
-                break
-
-            if head_hdf is None:
-                return head_edf
-            if head_edf is None:
-                return head_hdf
-            # Figure 7 decision, slack inlined (see _decide).
-            ni_edf = head_edf.scheduling_remaining * hdf_w
-            ni_hdf = (
-                head_hdf.scheduling_remaining - (edf_d - now - edf_b)
-            ) * edf_w
-            return head_edf if ni_edf < ni_hdf else head_hdf
-        else:
-            # One top-level span covering the whole incremental body
-            # (the attribution contract is over top-level spans), with
-            # nested spans carrying the per-stage breakdown.
-            with probe.span("incremental"):
-                with probe.span("touch"):
-                    if self._dirty or self._dirty_weak:
-                        self._drain(now)
-                with probe.span("migrate"):
-                    self._migrate_expired(now)
-                with probe.span("top-edf"):
-                    top_edf = self._top_edf(now)
-                with probe.span("top-hdf"):
-                    top_hdf = self._top_hdf()
-                if top_hdf is None:
-                    if top_edf is None:
-                        return None
-                    return top_edf[2]
-                if top_edf is None:
-                    return top_hdf[2]
-                with probe.span("decide"):
-                    return self._decide(top_edf, top_hdf, now)
+    def _select(self, now: float) -> Transaction | None:
+        self._drain(now)
+        self._migrate(now)
+        top_edf = self._top_edf(now)
+        top_hdf = self._top_hdf()
         if top_hdf is None:
-            if top_edf is None:
-                return None
-            return top_edf[2]
+            return None if top_edf is None else top_edf.head_txn
         if top_edf is None:
-            return top_hdf[2]
-        if probe is None:
-            return self._decide(top_edf, top_hdf, now)
-        with probe.span("decide"):
-            return self._decide(top_edf, top_hdf, now)
+            return top_hdf.head_txn
+        return self._decide(top_edf, top_hdf, now)
 
-    # -- reference scan (incremental=False) ----------------------------
-    def _scan(self, now: float) -> tuple[_Entry | None, _Entry | None]:
-        """One pass over the active set: top of the EDF- and HDF-lists.
-
-        Also prunes workflows whose representative vanished (all members
-        reached a terminal state) — the paper's lists only ever hold
-        pending workflows.  Retained as the reference implementation the
-        incremental path is property-tested against.
-        """
-        best_edf: _Entry | None = None
-        best_edf_key: tuple[float, int] | None = None
-        best_hdf: _Entry | None = None
-        best_hdf_key: tuple[float, int] | None = None
-        completed: list[int] = []
-
-        for wf in self._active.values():
-            rep = wf.representative()
-            if rep is None:
-                completed.append(wf.wf_id)
-                continue
-            head = wf.head()
-            if head is None or head.state is not _READY:
-                continue  # workflow cannot run right now
-            if feasible_at(rep.deadline, rep.scheduling_remaining, now):
-                key = edf_key(rep.deadline, wf.wf_id)
-                if best_edf_key is None or key < best_edf_key:
-                    best_edf, best_edf_key = (wf, rep, head), key
-            else:
-                key = hdf_key(rep.weight, rep.scheduling_remaining, wf.wf_id)
-                if best_hdf_key is None or key < best_hdf_key:
-                    best_hdf, best_hdf_key = (wf, rep, head), key
-
-        for wf_id in completed:
-            del self._active[wf_id]
-        return best_edf, best_hdf
-
-    # -- incremental structures ----------------------------------------
     def _drain(self, now: float) -> None:
         """Re-key every dirty workflow into the heaps (or out of them).
 
@@ -553,33 +249,26 @@ class ASETSStar(Scheduler):
                     if s is None or not s[0]:
                         strong[wf_id] = wf
             weak.clear()
+        if not strong:
+            return
         serials = self._serial
-        active = self._active
-        edf_heap = self._edf
-        hdf_heap = self._hdf
-        alarms = self._alarm
         for wf_id, wf in strong.items():
-            rep, head = wf.peek()
-            if rep is None:
-                # All members terminal: prune.  Any surviving heap
-                # entries are orphaned by the serial removal.
-                active.pop(wf_id, None)
-                serials[wf_id] += 1
-                side[wf_id] = None
-                continue
-            if head is None or head.state is not _READY:
-                # Not runnable right now; orphan any live entries — the
-                # head's next lifecycle hook marks the workflow dirty
-                # again.
+            if wf._dirty:
+                wf._refresh()
+            head = wf.head_txn
+            if not wf.has_pending or head is None or head.state is not _READY:
+                # All members terminal, or not runnable right now: orphan
+                # any live entries — the head's next lifecycle hook marks
+                # the workflow dirty again.
                 if side[wf_id] is not None:
                     serials[wf_id] += 1
                     side[wf_id] = None
                 continue
-            deadline = rep.deadline
-            remaining = rep.scheduling_remaining
+            deadline = wf.rep_deadline
+            remaining = wf.rep_scheduling_remaining
             s = side[wf_id]
-            if feasible_at(deadline, remaining, now):
-                thr = latest_start(deadline, remaining)
+            if now + remaining <= deadline:  # ordering.feasible_at
+                thr = deadline - remaining  # ordering.latest_start
                 # repro-lint: disable=RL003 -- cached heap-key identity, not arithmetic
                 if s is not None and s[0] and s[1] == deadline and thr >= s[2]:
                     # Keep: same EDF key, and the live alarm threshold is
@@ -588,20 +277,22 @@ class ASETSStar(Scheduler):
                     continue
                 serial = serials[wf_id] + 1
                 serials[wf_id] = serial
-                heappush(edf_heap, (deadline, wf_id, serial, wf))
-                heappush(alarms, (thr, wf_id, serial, wf))
+                heappush(self._edf, (deadline, wf_id, serial, wf))
+                heappush(self._alarm, (thr, wf_id, serial, wf))
                 side[wf_id] = (True, deadline, thr)
             else:
-                rank = hdf_rank(rep.weight, remaining)
+                rank = (  # ordering.hdf_rank
+                    _NEG_INF if remaining <= 0.0 else -(wf.rep_weight / remaining)
+                )
                 if s is not None and not s[0] and s[1] == rank:
                     continue  # keep: same HDF key
                 serial = serials[wf_id] + 1
                 serials[wf_id] = serial
-                heappush(hdf_heap, (rank, wf_id, serial, wf))
+                heappush(self._hdf, (rank, wf_id, serial, wf))
                 side[wf_id] = (False, rank)
         strong.clear()
 
-    def _migrate_expired(self, now: float) -> None:
+    def _migrate(self, now: float) -> None:
         """Move workflows whose feasibility flipped to the HDF side.
 
         Alarms are wake-ups, not judgements: membership is re-checked by
@@ -612,39 +303,42 @@ class ASETSStar(Scheduler):
         alarms = self._alarm
         serials = self._serial
         side = self._side
-        hdf_heap = self._hdf
         while alarms and alarms[0][0] < now:
             _, wf_id, serial, wf = heappop(alarms)
             if serials[wf_id] != serial:
                 continue  # superseded entry
-            rep = wf.representative()
-            if rep is None:
-                self._active.pop(wf_id, None)
+            if wf._dirty:
+                wf._refresh()
+            if not wf.has_pending:
                 serials[wf_id] += 1
                 side[wf_id] = None
                 continue
-            remaining = rep.scheduling_remaining
-            deadline = rep.deadline
-            if feasible_at(deadline, remaining, now):
+            deadline = wf.rep_deadline
+            remaining = wf.rep_scheduling_remaining
+            if now + remaining <= deadline:  # ordering.feasible_at
                 # Re-arm at the *current* threshold: a weak touch may
                 # have shrunk the believed remaining since this alarm was
                 # set, pushing the real flip later — without the refresh
                 # the stale-early alarm would refire at every point.
-                thr = max(latest_start(deadline, remaining), now)
+                thr = deadline - remaining  # ordering.latest_start
+                if thr < now:
+                    thr = now
                 heappush(alarms, (thr, wf_id, serial, wf))
                 side[wf_id] = (True, deadline, thr)
                 continue
             serial += 1
             serials[wf_id] = serial  # orphans the EDF entry
-            head = wf.head()
+            head = wf.head_txn
             if head is None or head.state is not _READY:
                 side[wf_id] = None
                 continue  # re-placed by the head's next lifecycle hook
-            rank = hdf_rank(rep.weight, remaining)
-            heappush(hdf_heap, (rank, wf_id, serial, wf))
+            rank = (  # ordering.hdf_rank
+                _NEG_INF if remaining <= 0.0 else -(wf.rep_weight / remaining)
+            )
+            heappush(self._hdf, (rank, wf_id, serial, wf))
             side[wf_id] = (False, rank)
 
-    def _top_edf(self, now: float) -> _Entry | None:
+    def _top_edf(self, now: float) -> Workflow | None:
         """Valid top of the EDF heap, re-judging feasibility at peek.
 
         The peek-time re-check closes the other half of the float-ulp
@@ -660,27 +354,28 @@ class ASETSStar(Scheduler):
             if serials[wf_id] != serial:
                 heappop(edf_heap)
                 continue
-            rep = wf.representative()
-            if rep is None:
+            if wf._dirty:
+                wf._refresh()
+            if not wf.has_pending:
                 heappop(edf_heap)
-                self._active.pop(wf_id, None)
                 serials[wf_id] += 1
                 side[wf_id] = None
                 continue
-            remaining = rep.scheduling_remaining
-            if not feasible_at(rep.deadline, remaining, now):
+            head = wf.head_txn
+            remaining = wf.rep_scheduling_remaining
+            if now + remaining > wf.rep_deadline:  # not ordering.feasible_at
                 heappop(edf_heap)
                 serial += 1
                 serials[wf_id] = serial
-                head = wf.head()
                 if head is not None and head.state is _READY:
-                    rank = hdf_rank(rep.weight, remaining)
+                    rank = (  # ordering.hdf_rank
+                        _NEG_INF if remaining <= 0.0 else -(wf.rep_weight / remaining)
+                    )
                     heappush(self._hdf, (rank, wf_id, serial, wf))
                     side[wf_id] = (False, rank)
                 else:
                     side[wf_id] = None
                 continue
-            head = wf.head()
             if head is None or head.state is not _READY:
                 # Dispatched at this point (or blocked): pop, bump the
                 # serial (orphaning the alarm) and clear the placement so
@@ -690,10 +385,10 @@ class ASETSStar(Scheduler):
                 serials[wf_id] = serial + 1
                 side[wf_id] = None
                 continue
-            return wf, rep, head
+            return wf
         return None
 
-    def _top_hdf(self) -> _Entry | None:
+    def _top_hdf(self) -> Workflow | None:
         """Valid top of the HDF heap.
 
         No feasibility re-check: a waiting workflow's believed values
@@ -709,87 +404,28 @@ class ASETSStar(Scheduler):
             if serials[wf_id] != serial:
                 heappop(hdf_heap)
                 continue
-            rep = wf.representative()
-            if rep is None:
-                heappop(hdf_heap)
-                self._active.pop(wf_id, None)
-                serials[wf_id] += 1
-                side[wf_id] = None
-                continue
-            head = wf.head()
-            if head is None or head.state is not _READY:
+            if wf._dirty:
+                wf._refresh()
+            head = wf.head_txn
+            if not wf.has_pending or head is None or head.state is not _READY:
                 heappop(hdf_heap)
                 serials[wf_id] = serial + 1
                 side[wf_id] = None
                 continue
-            return wf, rep, head
+            return wf
         return None
 
-    # -- decision -------------------------------------------------------
     @staticmethod
-    def _decide(top_edf: _Entry, top_hdf: _Entry, now: float) -> Transaction:
+    def _decide(edf: Workflow, hdf: Workflow, now: float) -> Transaction:
         """Figure 7 lines 15-21: weighted negative-impact comparison.
 
-        Operates on the ``(workflow, representative, head)`` triples the
-        list tops were found with — no re-lookup, so the decision cannot
-        observe a different representative than the ordering did.
+        Reads the same refreshed slots the list tops were judged on, so
+        the decision cannot observe a different representative than the
+        ordering did.  Ties go to the HDF side.
         """
-        _, rep_edf, head_edf = top_edf
-        _, rep_hdf, head_hdf = top_hdf
-        ni_edf = head_edf.scheduling_remaining * rep_hdf.weight
-        ni_hdf = (
-            head_hdf.scheduling_remaining - rep_edf.slack(now)
-        ) * rep_edf.weight
-        if ni_edf < ni_hdf:
-            return head_edf
-        return head_hdf
-
-    # ------------------------------------------------------------------
-    # Introspection for tests.
-    # ------------------------------------------------------------------
-    def _partition(
-        self, now: float
-    ) -> tuple[
-        list[tuple[tuple[float, int], Workflow]],
-        list[tuple[tuple[float, int], Workflow]],
-    ]:
-        """(feasible, infeasible) runnable workflows with their sort keys.
-
-        One ``representative()``/``head()`` lookup per workflow per call
-        — the keys are computed once and carried next to the workflow,
-        so a sort can never observe a different representative than the
-        membership test did.  Shared by both list helpers and both
-        select implementations' notion of membership
-        (:mod:`repro.policies.ordering`).
-        """
-        feasible: list[tuple[tuple[float, int], Workflow]] = []
-        infeasible: list[tuple[tuple[float, int], Workflow]] = []
-        for wf in self._active.values():
-            rep = wf.representative()
-            if rep is None:
-                continue
-            head = wf.head()
-            if head is None or head.state is not _READY:
-                continue
-            if feasible_at(rep.deadline, rep.scheduling_remaining, now):
-                feasible.append((edf_key(rep.deadline, wf.wf_id), wf))
-            else:
-                infeasible.append(
-                    (
-                        hdf_key(
-                            rep.weight, rep.scheduling_remaining, wf.wf_id
-                        ),
-                        wf,
-                    )
-                )
-        feasible.sort(key=lambda entry: entry[0])
-        infeasible.sort(key=lambda entry: entry[0])
-        return feasible, infeasible
-
-    def edf_list(self, now: float) -> list[Workflow]:
-        """Runnable workflows whose representative is feasible, EDF order."""
-        return [wf for _key, wf in self._partition(now)[0]]
-
-    def hdf_list(self, now: float) -> list[Workflow]:
-        """Runnable workflows whose representative is infeasible, HDF order."""
-        return [wf for _key, wf in self._partition(now)[1]]
+        head_edf = edf.head_txn
+        head_hdf = hdf.head_txn
+        ni_edf = head_edf.scheduling_remaining * hdf.rep_weight
+        slack_edf = edf.rep_deadline - now - edf.rep_scheduling_remaining
+        ni_hdf = (head_hdf.scheduling_remaining - slack_edf) * edf.rep_weight
+        return head_edf if ni_edf < ni_hdf else head_hdf

@@ -43,10 +43,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from repro.core.priorities import aging_key
 from repro.core.transaction import Transaction, TransactionState
 from repro.errors import SchedulingError
 from repro.policies.base import Scheduler
+from repro.policies.ordering import aging_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.core.workflow_set import WorkflowSet
@@ -77,6 +77,7 @@ class BalanceAware(Scheduler):
     """
 
     name = "balance-aware"
+    _stages = {"_pick_t_old": "aging"}
 
     def __init__(
         self,
@@ -175,12 +176,7 @@ class BalanceAware(Scheduler):
             self._pinned = None
 
         if self._pending_activation:
-            probe = self._probe
-            if probe is None:
-                t_old = self._pick_t_old(now)
-            else:
-                with probe.span("aging"):
-                    t_old = self._pick_t_old(now)
+            t_old = self._pick_t_old(now)
             if t_old is not None:
                 self._pending_activation = False
                 if self.pin_until_completion:

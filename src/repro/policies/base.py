@@ -30,7 +30,7 @@ from __future__ import annotations
 import abc
 import heapq
 import itertools
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, ClassVar, Sequence
 
 from repro.core.transaction import Transaction, TransactionState
 from repro.errors import SchedulingError
@@ -40,6 +40,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.obs.profile import Probe
 
 __all__ = ["Scheduler", "ScanScheduler", "HeapScheduler"]
+
+
+def _spanned(probe: "Probe", span: str, stage: Callable) -> Callable:
+    """``stage`` run inside ``probe.span(span)``."""
+
+    def spanned(*args: object) -> object:
+        with probe.span(span):
+            return stage(*args)
+
+    return spanned
 
 
 class Scheduler(abc.ABC):
@@ -60,11 +70,10 @@ class Scheduler(abc.ABC):
     #: time units (Section III-D, time-based activation).
     activation_period: float | None = None
 
-    #: Select-scoped profiling probe.  The engine attaches one at bind
-    #: time only when a :class:`~repro.obs.profile.PhaseProfiler` is in
-    #: play; the default ``None`` keeps every select path probe-free at
-    #: the cost of a single ``is None`` check (zero-cost-when-off).
-    _probe: "Probe | None" = None
+    #: Select stages attributed to profiling spans: private method name ->
+    #: span name.  :meth:`attach_probe` wraps each listed method in a span
+    #: on the instance; a policy without a probe runs the plain methods.
+    _stages: ClassVar[dict[str, str]] = {}
 
     def __init__(self) -> None:
         self._transactions: dict[int, Transaction] = {}
@@ -99,12 +108,20 @@ class Scheduler(abc.ABC):
     def attach_probe(self, probe: "Probe | None") -> None:
         """Attach (or with ``None`` detach) a profiling probe.
 
-        Called by the engine right after :meth:`bind`.  Policies wrap
-        their internal select stages in ``probe.span(...)`` blocks when
-        a probe is present; spans must only fire inside :meth:`select`
-        (the profiler's overhead correction is per scheduling point).
+        Called by the engine right after :meth:`bind`.  Every method in
+        :attr:`_stages` gets an instance attribute that runs it inside
+        ``probe.span(name)``; detaching deletes those attributes, so the
+        class methods run again with no probe plumbing at all.  Stages
+        are private methods called from :meth:`select` only: spans must
+        fire inside it (the profiler's overhead correction is per
+        scheduling point), and public hooks stay free for callers that
+        wrap them on the instance.
         """
-        self._probe = probe
+        for method in self._stages:
+            self.__dict__.pop(method, None)
+        if probe is not None:
+            for method, span in self._stages.items():
+                setattr(self, method, _spanned(probe, span, getattr(self, method)))
 
     def on_arrival(self, txn: Transaction, now: float) -> None:
         """The transaction was submitted (possibly still waiting on deps)."""
@@ -174,7 +191,7 @@ class Scheduler(abc.ABC):
                 f"{cls.__name__}.restore() expected a {cls.__name__} "
                 f"snapshot, got {type(state).__name__}"
             )
-        state._probe = None
+        state.attach_probe(None)
         return state
 
     # ------------------------------------------------------------------
@@ -205,6 +222,8 @@ class ScanScheduler(Scheduler):
     sets; the static-key workhorses use :class:`HeapScheduler` instead.
     """
 
+    _stages = {"_scan": "scan"}
+
     def __init__(self) -> None:
         super().__init__()
         self._ready: dict[int, Transaction] = {}
@@ -221,25 +240,15 @@ class ScanScheduler(Scheduler):
         self._ready.pop(txn.txn_id, None)
 
     def select(self, now: float) -> Transaction | None:
-        probe = self._probe
-        if probe is None:
-            candidates = [
-                t
-                for t in self._ready.values()
-                if t.state is TransactionState.READY
-            ]
-            if not candidates:
-                return None
-            return min(candidates, key=lambda t: self.sort_key(t, now))
-        with probe.span("scan"):
-            candidates = [
-                t
-                for t in self._ready.values()
-                if t.state is TransactionState.READY
-            ]
-            if not candidates:
-                return None
-            return min(candidates, key=lambda t: self.sort_key(t, now))
+        return self._scan(now)
+
+    def _scan(self, now: float) -> Transaction | None:
+        candidates = [
+            t for t in self._ready.values() if t.state is TransactionState.READY
+        ]
+        if not candidates:
+            return None
+        return min(candidates, key=lambda t: self.sort_key(t, now))
 
     @abc.abstractmethod
     def sort_key(self, txn: Transaction, now: float) -> tuple:
@@ -262,6 +271,8 @@ class HeapScheduler(Scheduler):
     requeue or completion are discarded when encountered.
     """
 
+    _stages = {"_heap_pop": "heap-pop"}
+
     def __init__(self) -> None:
         super().__init__()
         self._heap: list[tuple[float, float, int, int, Transaction]] = []
@@ -283,31 +294,20 @@ class HeapScheduler(Scheduler):
         )
 
     def select(self, now: float) -> Transaction | None:
-        probe = self._probe
-        if probe is None:
-            heap = self._heap
-            while heap:
-                stored_key, _, _, _, txn = heap[0]
-                if txn.state is not TransactionState.READY:
-                    heapq.heappop(heap)
-                    continue
-                if stored_key != self.key(txn):
-                    heapq.heappop(heap)  # superseded by a requeued entry
-                    continue
-                return txn
-            return None
-        with probe.span("heap-pop"):
-            heap = self._heap
-            while heap:
-                stored_key, _, _, _, txn = heap[0]
-                if txn.state is not TransactionState.READY:
-                    heapq.heappop(heap)
-                    continue
-                if stored_key != self.key(txn):
-                    heapq.heappop(heap)  # superseded by a requeued entry
-                    continue
-                return txn
-            return None
+        return self._heap_pop()
+
+    def _heap_pop(self) -> Transaction | None:
+        heap = self._heap
+        while heap:
+            stored_key, _, _, _, txn = heap[0]
+            if txn.state is not TransactionState.READY:
+                heapq.heappop(heap)
+                continue
+            if stored_key != self.key(txn):
+                heapq.heappop(heap)  # superseded by a requeued entry
+                continue
+            return txn
+        return None
 
     @property
     def pending_entries(self) -> int:

@@ -1,4 +1,4 @@
-"""The single source of truth for ASETS-family list membership and order.
+"""The single table of scheduling rank functions.
 
 The paper's two-list scheme hinges on one predicate and two orderings:
 
@@ -10,14 +10,19 @@ The paper's two-list scheme hinges on one predicate and two orderings:
   (descending; equal weights reduce it to SRPT order).
 
 Before this module existed each call site re-derived these expressions
-locally (``ASETSStar._scan`` tested ``now + r <= d`` while the
+locally (the ASETS* rescan tested ``now + r <= d`` while the
 introspection helpers asked ``is_past_deadline(now)``, and every density
 key divided by the believed remaining time unguarded).  Re-derivation is
 how orderings drift: a float-ulp difference in the membership test, or a
 division by a zero believed remaining, changes a decision in one place
-but not the other.  Scan-based selection, the incremental heap
-structures, and the introspection helpers now all call the same three
-functions below, so they *cannot* disagree.
+but not the other.  ASETS's density key and the reference rescan the
+test suite checks ASETS* against call the functions below; the
+incremental ASETS* heaps inline them on their hot path, each site marked
+with the function it transcribes, and the byte-identity suite against
+the rescan pins the two to the same decisions.  The balance-aware
+aging order (:func:`aging_key`) lives here too; the static-key
+baselines (EDF, SRPT, HDF, ...) define theirs as the ``key`` of their
+:class:`~repro.policies.base.HeapScheduler`.
 
 Density guard
 -------------
@@ -35,12 +40,18 @@ caller's id tie-break deciding among several.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.transaction import Transaction
+
 __all__ = [
     "feasible_at",
     "edf_key",
     "hdf_rank",
     "hdf_key",
     "latest_start",
+    "aging_key",
 ]
 
 _NEG_INF = float("-inf")
@@ -49,11 +60,9 @@ _NEG_INF = float("-inf")
 def feasible_at(deadline: float, scheduling_remaining: float, now: float) -> bool:
     """The EDF-List membership test: ``now + r <= d`` (Definition 6).
 
-    Every ASETS-family component — the reference scan, the incremental
-    heaps' placement and migration re-checks, and the ``edf_list`` /
-    ``hdf_list`` introspection helpers — must call this function rather
-    than re-deriving the comparison, so that all of them agree to the
-    float ulp.
+    ASETS-family components call this function (or, on the ASETS* heap
+    hot path, transcribe it verbatim) rather than re-deriving the
+    comparison, so that all of them agree to the float ulp.
     """
     return now + scheduling_remaining <= deadline
 
@@ -92,3 +101,16 @@ def latest_start(deadline: float, scheduling_remaining: float) -> float:
     membership itself is always re-judged by :func:`feasible_at`.
     """
     return deadline - scheduling_remaining
+
+
+def aging_key(txn: "Transaction") -> float:
+    """Key for the balance-aware :math:`T_{old}` pick (Section III-D).
+
+    :math:`T_{old}` is the ready transaction with the *highest*
+    weight-to-deadline ratio :math:`w_i / d_i` — the natural aging order in
+    which the transaction with the earliest deadline is the oldest.
+    Negated so the smallest key wins; a non-positive deadline ranks first.
+    """
+    if txn.deadline <= 0:
+        return _NEG_INF
+    return -(txn.weight / txn.deadline)

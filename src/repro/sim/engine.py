@@ -447,8 +447,7 @@ class Simulator:
         self._ckpt_due = self._checkpoint_every
         self._policy.bind(list(self._txns.values()), self._workflows)
         # Probe attachment mirrors the instrument contract: without a
-        # profiler the policy holds None and its select paths pay a
-        # single ``is None`` check.
+        # profiler the policy's stage methods stay unwrapped.
         self._policy.attach_probe(
             self._profiler.probe() if self._profiler is not None else None
         )

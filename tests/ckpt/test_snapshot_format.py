@@ -106,7 +106,7 @@ class TestValidation:
         # around dataclass events; resuming one on the tuple-event engine
         # would crash at the first heap comparison.  The header version
         # must stop it at load instead.
-        assert CKPT_VERSION == 2
+        assert CKPT_VERSION > 1
         data = checkpoint_path.read_bytes()
         end = data.index(b"\n", len(CKPT_MAGIC))
         header = json.loads(data[len(CKPT_MAGIC) : end])
@@ -122,6 +122,43 @@ class TestValidation:
         )
         with pytest.raises(CheckpointError, match="checkpoint version 1"):
             load_checkpoint(checkpoint_path)
+
+    def test_v2_checkpoint_rejected_at_load(self, tmp_path):
+        # Format 2 pickled ASETSStar with an ``incremental`` flag; in its
+        # reference-scan mode the heaps stayed empty and the active
+        # workflows lived in a dict.  Today's single heap path would
+        # resume such a snapshot with empty lists and no error — the
+        # header version must stop it at load instead.
+        assert CKPT_VERSION > 2
+        workload = generate_workloads(
+            WorkloadSpec(n_transactions=80, utilization=0.9, with_workflows=True),
+            [3],
+        )[0]
+        path = tmp_path / "star.ckpt"
+        run_policy_on(
+            workload,
+            PolicySpec.of("asets-star"),
+            checkpoint_every=30,
+            checkpointer=Checkpointer(path, metadata={"target": "test"}),
+        )
+        data = path.read_bytes()
+        end = data.index(b"\n", len(CKPT_MAGIC))
+        header = json.loads(data[len(CKPT_MAGIC) : end])
+        blob = pickle.loads(data[end + 1 :])
+        policy = blob["policy_state"]
+        policy._incremental = False
+        policy._active = {wf.wf_id: wf for wf in workload.workflow_set}
+        for heap in (policy._edf, policy._hdf, policy._alarm):
+            heap.clear()
+        header["version"] = 2
+        path.write_bytes(
+            CKPT_MAGIC
+            + json.dumps(header, separators=(",", ":")).encode()
+            + b"\n"
+            + pickle.dumps(blob)
+        )
+        with pytest.raises(CheckpointError, match="checkpoint version 2"):
+            load_checkpoint(path)
 
     def test_torn_payload(self, checkpoint_path):
         data = checkpoint_path.read_bytes()

@@ -119,26 +119,7 @@ class TestRunProfileOut:
 
 
 class TestScanSelect:
-    def test_profile_accepts_scan_select_for_asets_star(self, capsys):
-        argv = [
-            "profile", "--policy", "asets-star", "--n", "150",
-            "--scan-select",
-        ]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "avg_tardiness=" in out
-        # The reference path self-attributes under the 'scan' probe; the
-        # incremental heaps never run.
-        assert "scan" in out
-        assert "incremental" not in out
-
     def test_default_profile_uses_incremental_probe(self, capsys):
         argv = ["profile", "--policy", "asets-star", "--n", "150"]
         assert main(argv) == 0
         assert "incremental" in capsys.readouterr().out
-
-    def test_scan_select_rejected_for_other_policies(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--policy", "edf", "--scan-select"])
-        assert exc.value.code == 2
-        assert "--scan-select" in capsys.readouterr().err

@@ -23,11 +23,13 @@ from repro.faults import FaultSpec, plan_faults
 from repro.obs import Recorder
 from repro.workload.generator import generate
 from repro.workload.spec import WorkloadSpec
+from tests.policies.asets_star_oracle import SCAN
 
 GOLDEN = pathlib.Path(__file__).parent / "golden_seed_run.jsonl"
 
 SPEC = WorkloadSpec(n_transactions=60, utilization=0.9)
 FAULTS = FaultSpec(seed=3, abort_prob=0.2, stall_prob=0.1, crash_count=1)
+STAR = PolicySpec.of("asets-star")
 
 
 def norm(events):
@@ -115,29 +117,24 @@ class TestFaultDeterminism:
 
 
 class TestSelectImplementationIdentity:
-    """ASETS* incremental heaps vs the retained reference scan.
+    """ASETS* incremental heaps vs the reference rescan oracle.
 
     The incremental select path is an optimisation, not a policy change:
     on the golden workload its event stream must be byte-identical to
-    ``ASETSStar(incremental=False)`` — with and without fault pressure.
+    the oracle's full rescan — with and without fault pressure.
     """
 
     @staticmethod
-    def _star_stream(incremental, faults=None):
+    def _star_stream(spec, faults=None):
         workload = generate(SPEC, seed=11)
         recorder = Recorder()
-        run_policy_on(
-            workload,
-            PolicySpec.of("asets-star", incremental=incremental),
-            instrument=recorder,
-            faults=faults,
-        )
+        run_policy_on(workload, spec, instrument=recorder, faults=faults)
         return norm(recorder.events)
 
     def test_byte_identical_without_faults(self):
-        assert self._star_stream(True) == self._star_stream(False)
+        assert self._star_stream(STAR) == self._star_stream(SCAN)
 
     def test_byte_identical_under_faults(self):
-        assert self._star_stream(True, FAULTS) == self._star_stream(
-            False, FAULTS
+        assert self._star_stream(STAR, FAULTS) == self._star_stream(
+            SCAN, FAULTS
         )

@@ -26,7 +26,7 @@ def test_known_intentional_suppressions_are_counted():
     # event_queue batch identity, NonPreemptive scheduling-point identity,
     # the five ASETS heap deadline-snapshot identity checks (stale
     # pre-retry entries are detected by exact copy comparison), and the
-    # two ASETS* keep-in-place cached-heap-key identity checks (a re-key
-    # is skipped only when the recomputed key is bitwise-identical).
+    # ASETS* keep-in-place cached-heap-key identity check (a re-key is
+    # skipped only when the recomputed key is bitwise-identical).
     result = lint([SRC])
-    assert result.suppressed == 9
+    assert result.suppressed == 8

@@ -33,17 +33,18 @@ from repro.obs.profile import (
 )
 from repro.workload.generator import generate
 from repro.workload.spec import WorkloadSpec
+from tests.policies.asets_star_oracle import SCAN
 
 
 def profiled_run(
-    policy="asets-star", n=1000, seed=42, utilization=1.2, **policy_kwargs
+    policy="asets-star", n=1000, seed=42, utilization=1.2, spec=None
 ):
     workload = generate(
         WorkloadSpec(n_transactions=n, utilization=utilization), seed=seed
     )
     profiler = PhaseProfiler()
     result = run_policy_on(
-        workload, PolicySpec.of(policy, **policy_kwargs), profiler=profiler
+        workload, spec or PolicySpec.of(policy), profiler=profiler
     )
     return result, profiler.snapshot(policy)
 
@@ -216,9 +217,9 @@ class TestProfiledRun:
         assert exponent is not None and exponent < 0.5
 
     def test_reference_scan_exponent_still_linearish(self):
-        """The retained scan implementation keeps its depth scaling —
-        the contrast documents what the incremental structures bought."""
-        _, snap = profiled_run(n=500, incremental=False)
+        """The rescan oracle keeps its depth scaling — the contrast
+        documents what the incremental structures bought."""
+        _, snap = profiled_run(n=500, spec=SCAN)
         exponent = snap.depth_exponent("select")
         assert exponent is not None and exponent > 0.0
 

@@ -11,6 +11,7 @@ workload.
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,10 +22,21 @@ from repro.obs.profile import PhaseProfiler
 from repro.workload.generator import generate
 from repro.workload.spec import WorkloadSpec
 
-#: Probe-instrumented selects plus two baselines.  ``balance-aware``
-#: needs an aging-rate argument, so it is exercised by the figure-16/17
-#: sweep tests rather than bare registry construction here.
-POLICIES = ("edf", "hdf", "srpt", "asets", "asets-star", "fcfs")
+#: Every policy with probe stages.  Balance-aware forwards its probe to
+#: the inner ASETS* and adds its own ``aging`` span; a high count rate
+#: makes the aging override fire often in 80 transactions.
+POLICIES = (
+    PolicySpec.of("edf"),
+    PolicySpec.of("hdf"),
+    PolicySpec.of("srpt"),
+    PolicySpec.of("ls"),
+    PolicySpec.of("hvf"),
+    PolicySpec.of("mix"),
+    PolicySpec.of("asets"),
+    PolicySpec.of("asets-star"),
+    PolicySpec.of("fcfs"),
+    PolicySpec.of("balance-aware", count_rate=0.1),
+)
 
 
 def norm(events):
@@ -45,7 +57,7 @@ def record(policy, seed, utilization, profiled):
     profiler = PhaseProfiler() if profiled else None
     result = run_policy_on(
         workload,
-        PolicySpec.of(policy),
+        policy,
         instrument=recorder,
         profiler=profiler,
     )
@@ -66,3 +78,12 @@ def test_profiler_on_matches_profiler_off(policy, seed, utilization):
     assert prof_result.deadline_miss_ratio == plain_result.deadline_miss_ratio
     assert prof_result.total_tardiness == plain_result.total_tardiness
     assert prof_result.scheduling_points == plain_result.scheduling_points
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda spec: spec.name)
+def test_every_probed_policy_is_neutral(policy):
+    # The property above samples policies; this pins each one once.
+    plain_result, plain_events = record(policy, 7, 1.2, False)
+    prof_result, prof_events = record(policy, 7, 1.2, True)
+    assert norm(prof_events) == norm(plain_events)
+    assert prof_result.average_tardiness == plain_result.average_tardiness

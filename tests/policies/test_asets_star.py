@@ -8,6 +8,7 @@ from repro.errors import SchedulingError
 from repro.policies import ASETS, ASETSStar
 from repro.sim.engine import Simulator
 from tests.conftest import chain, make_txn
+from tests.policies.asets_star_oracle import ScanASETSStar, edf_list, hdf_list
 
 
 def bind_and_arrive(policy, txns, now=0.0):
@@ -41,8 +42,8 @@ class TestListPlacement:
         policy = ASETSStar()
         txns = chain((0, 2.0, 20.0), (0, 3.0, 30.0))
         bind_and_arrive(policy, txns)
-        assert [wf.root_id for wf in policy.edf_list(0.0)] == [2]
-        assert policy.hdf_list(0.0) == []
+        assert [wf.root_id for wf in edf_list(policy, 0.0)] == [2]
+        assert hdf_list(policy, 0.0) == []
 
     def test_urgent_dependent_drags_workflow_to_hdf_list(self):
         # The dependent's impossible deadline makes the representative
@@ -50,8 +51,8 @@ class TestListPlacement:
         policy = ASETSStar()
         txns = chain((0, 2.0, 20.0), (0, 3.0, 1.0))
         bind_and_arrive(policy, txns)
-        assert policy.edf_list(0.0) == []
-        assert [wf.root_id for wf in policy.hdf_list(0.0)] == [2]
+        assert edf_list(policy, 0.0) == []
+        assert [wf.root_id for wf in hdf_list(policy, 0.0)] == [2]
 
     def test_unrunnable_workflow_on_no_list(self):
         # Dependent arrived but the leaf did not: no head, not runnable.
@@ -63,8 +64,8 @@ class TestListPlacement:
         policy.on_arrival(t2, 0.0)
         t2.mark_waiting()
         ws.notify_changed(2)
-        assert policy.edf_list(0.0) == []
-        assert policy.hdf_list(0.0) == []
+        assert edf_list(policy, 0.0) == []
+        assert hdf_list(policy, 0.0) == []
         assert policy.select(0.0) is None
 
 
@@ -121,7 +122,7 @@ class TestSelection:
         policy.on_completion(t, 1.0)
         ws.notify_changed(1)
         assert policy.select(1.0) is None
-        assert policy.edf_list(1.0) == []
+        assert edf_list(policy, 1.0) == []
 
 
 class TestEquivalenceWithTransactionLevel:
@@ -160,21 +161,21 @@ class TestSharedMembershipPredicate:
     def test_infeasible_but_not_tardy_is_on_hdf_list(self):
         # Deadline 5 is still ahead at now=0, but 8 units of work cannot
         # fit: infeasible, so the HDF list owns it everywhere.
-        for incremental in (True, False):
+        for policy_type in (ASETSStar, ScanASETSStar):
             t = make_txn(1, length=8.0, deadline=5.0)
-            policy = ASETSStar(incremental=incremental)
+            policy = policy_type()
             bind_and_arrive(policy, [t])
             assert policy.select(0.0) is t
-            assert [wf.root_id for wf in policy.hdf_list(0.0)] == [1]
-            assert policy.edf_list(0.0) == []
+            assert [wf.root_id for wf in hdf_list(policy, 0.0)] == [1]
+            assert edf_list(policy, 0.0) == []
 
     def test_exact_fit_stays_on_edf_list(self):
         # The boundary now + r == d is feasible (Definition 6 is <=).
         t = make_txn(1, length=5.0, deadline=5.0)
         policy = ASETSStar()
         bind_and_arrive(policy, [t])
-        assert [wf.root_id for wf in policy.edf_list(0.0)] == [1]
-        assert policy.hdf_list(0.0) == []
+        assert [wf.root_id for wf in edf_list(policy, 0.0)] == [1]
+        assert hdf_list(policy, 0.0) == []
 
 
 class TestZeroDensityGuard:
@@ -189,13 +190,13 @@ class TestZeroDensityGuard:
         zero.believed_remaining = 0.0
         ws.notify_changed(1)
         # Both are past-deadline (hence infeasible) at now=2.
-        assert [wf.root_id for wf in policy.hdf_list(2.0)] == [1, 2]
+        assert [wf.root_id for wf in hdf_list(policy, 2.0)] == [1, 2]
         assert policy.select(2.0) is zero
 
     def test_scan_agrees_on_zero_density(self):
         zero = make_txn(1, length=2.0, deadline=1.0, weight=1.0)
         dense = make_txn(2, length=2.0, deadline=1.0, weight=9.0)
-        policy = ASETSStar(incremental=False)
+        policy = ScanASETSStar()
         ws = bind_and_arrive(policy, [zero, dense])
         zero.believed_remaining = 0.0
         ws.notify_changed(1)
@@ -217,6 +218,6 @@ class TestIntrospectionCaching:
             return original(self)
 
         monkeypatch.setattr(Workflow, "representative", counting)
-        listed = policy.edf_list(0.0)
+        listed = edf_list(policy, 0.0)
         assert len(listed) == 3
         assert calls == {0: 1, 1: 1, 2: 1}

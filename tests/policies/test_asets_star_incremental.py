@@ -1,10 +1,11 @@
-"""The incremental ASETS* lists against the retained reference scan.
+"""The incremental ASETS* lists against the reference rescan oracle.
 
 The incremental path (lazy-deletion heaps keyed by the shared ordering
 functions, targeted invalidation from the lifecycle hooks, and the alarm
 heap that migrates workflows whose feasibility expired) must be
-*decision-identical* to ``ASETSStar(incremental=False)``, which rescans
-the whole active set at every scheduling point.  These tests compare
+*decision-identical* to the reference oracle
+(:mod:`tests.policies.asets_star_oracle`), which rescans the whole
+active set at every scheduling point.  These tests compare
 full event streams byte-for-byte: directed scenarios for each
 invalidation path (arrival, ready, completion, retry, crash, shed,
 migration), then hypothesis-random workloads with faults on and off and
@@ -25,10 +26,10 @@ from repro.policies import ASETSStar
 from repro.workload.generator import generate
 from repro.workload.spec import WorkloadSpec
 from tests.conftest import make_txn
+from tests.policies.asets_star_oracle import SCAN, edf_list, hdf_list
 from tests.policies.test_asets_star import bind_and_arrive
 
 INCREMENTAL = PolicySpec.of("asets-star", "incremental")
-SCAN = PolicySpec.of("asets-star", "scan", incremental=False)
 
 
 def norm(events):
@@ -136,8 +137,8 @@ class TestMigrationAlarm:
         ws.notify_changed(b.txn_id)
 
         assert policy.select(3.0) is a
-        assert [wf.root_id for wf in policy.hdf_list(3.0)] == [1]
-        assert policy.edf_list(3.0) == []
+        assert [wf.root_id for wf in hdf_list(policy, 3.0)] == [1]
+        assert edf_list(policy, 3.0) == []
 
     def test_scan_agrees_after_migration(self):
         decisions = []

@@ -13,6 +13,7 @@ these tests fail).
 from repro.core.transaction import Transaction
 from repro.core.workflow_set import WorkflowSet
 from repro.policies import ASETSStar
+from tests.policies.asets_star_oracle import edf_list, hdf_list
 
 
 def submit_all(policy, txns, now=0.0):
@@ -44,11 +45,11 @@ class TestSelectUsesBelievedFeasibility:
         # deadline (8.9 < 9) wins.  Pre-fix: A lands on the HDF-List, the
         # Figure 7 comparison runs with NI(B)=8*1=8 < NI(A)=(5-1)*100=400,
         # and B is selected instead.
-        assert [wf.wf_id for wf in policy.edf_list(0.0)] == sorted(
-            wf.wf_id for wf in policy.edf_list(0.0)
+        assert [wf.wf_id for wf in edf_list(policy, 0.0)] == sorted(
+            wf.wf_id for wf in edf_list(policy, 0.0)
         )
-        assert len(policy.edf_list(0.0)) == 2
-        assert policy.hdf_list(0.0) == []
+        assert len(edf_list(policy, 0.0)) == 2
+        assert hdf_list(policy, 0.0) == []
         assert policy.select(0.0) is a
 
     def test_exact_estimates_unchanged(self):
@@ -58,8 +59,8 @@ class TestSelectUsesBelievedFeasibility:
         b = Transaction(2, arrival=0.0, length=8.0, deadline=9.0, weight=100.0)
         policy = ASETSStar()
         submit_all(policy, [a, b])
-        assert len(policy.edf_list(0.0)) == 1
-        assert len(policy.hdf_list(0.0)) == 1
+        assert len(edf_list(policy, 0.0)) == 1
+        assert len(hdf_list(policy, 0.0)) == 1
         assert policy.select(0.0) is b
 
 
@@ -77,8 +78,8 @@ class TestHdfListUsesBelievedDensity:
         )
         policy = ASETSStar()
         submit_all(policy, [a, b])
-        assert policy.edf_list(0.0) == []
-        hdf = policy.hdf_list(0.0)
+        assert edf_list(policy, 0.0) == []
+        hdf = hdf_list(policy, 0.0)
         assert [wf.head().txn_id for wf in hdf] == [1, 2]
         # select must agree with the list order's winner.
         assert policy.select(0.0) is a
@@ -100,6 +101,6 @@ class TestDecideUsesBelievedBasisConsistently:
         h = Transaction(2, arrival=0.0, length=12.0, deadline=1.0)
         policy = ASETSStar()
         submit_all(policy, [e, h])
-        assert [wf.head().txn_id for wf in policy.edf_list(0.0)] == [1]
-        assert [wf.head().txn_id for wf in policy.hdf_list(0.0)] == [2]
+        assert [wf.head().txn_id for wf in edf_list(policy, 0.0)] == [1]
+        assert [wf.head().txn_id for wf in hdf_list(policy, 0.0)] == [2]
         assert policy.select(0.0) is e
