@@ -145,7 +145,7 @@ def test_engine_throughput(name, workload, benchmark):
 
     # One instrumented run (outside the timed rounds) for select() wall
     # times; its own overhead does not pollute the throughput numbers.
-    recorder = Recorder(keep_events=False)
+    recorder = Recorder()
     workload.reset()
     Simulator(
         workload.transactions,

@@ -5,7 +5,7 @@ File layout
 A checkpoint is one binary file::
 
     b"REPROCKPT\\n"            -- magic, rejects alien files cheaply
-    {"version": 2, ...}\\n      -- JSON header line (UTF-8)
+    {"version": 4, ...}\\n      -- JSON header line (UTF-8)
     <pickle blob>              -- everything else, one object graph
 
 The header carries only JSON-safe summary fields (version, policy name,
@@ -65,7 +65,11 @@ CKPT_MAGIC = b"REPROCKPT\n"
 #: ``incremental`` flag, no active-workflow dict); a version-2 snapshot
 #: of its old reference-scan mode carries empty heaps and would resume
 #: with wrong decisions.
-CKPT_VERSION = 3
+#: Version 4: every instrument rides as ``to_state`` state (a buffered
+#: ``Recorder`` is a ``StreamingRecorder`` whose state carries its event
+#: list; version 3 pickled it whole), and ``RunTelemetry`` state carries
+#: exact running tardiness/response-time sums.
+CKPT_VERSION = 4
 
 #: Keys every checkpoint header must carry.
 _HEADER_FIELDS = frozenset(
@@ -156,19 +160,15 @@ class Checkpoint:
     ) -> object | None:
         """Rebuild the checkpointed instrument, or ``None`` if none rode.
 
-        State-carrying instruments (those with ``to_state``, e.g.
-        :class:`~repro.obs.streaming.StreamingRecorder`) are rebuilt via
-        their ``from_state(state, sink)``; instruments checkpointed as
-        whole objects (e.g. a buffered
-        :class:`~repro.obs.recorder.Recorder`, which holds no file
-        handles) are returned as unpickled.
+        The instrument (e.g. a
+        :class:`~repro.obs.streaming.StreamingRecorder` or a buffered
+        :class:`~repro.obs.recorder.Recorder`) is rebuilt via its
+        ``from_state(state, sink)``.
         """
         entry = self._blob["instrument"]
         if entry is None:
             return None
-        if entry["kind"] == "state":
-            return entry["type"].from_state(entry["state"], sink)
-        return entry["object"]
+        return entry["type"].from_state(entry["state"], sink)
 
 
 class Checkpointer:
@@ -227,14 +227,15 @@ class Checkpointer:
         instrument_entry = None
         if self.instrument is not None:
             to_state = getattr(self.instrument, "to_state", None)
-            if to_state is not None:
-                instrument_entry = {
-                    "kind": "state",
-                    "type": type(self.instrument),
-                    "state": to_state(),
-                }
-            else:
-                instrument_entry = {"kind": "object", "object": self.instrument}
+            if to_state is None:
+                raise CheckpointError(
+                    f"instrument {type(self.instrument).__name__} has no "
+                    "to_state(); it cannot ride in a checkpoint"
+                )
+            instrument_entry = {
+                "type": type(self.instrument),
+                "state": to_state(),
+            }
         blob = {
             "core": core,
             "policy_type": type(policy),

@@ -718,8 +718,8 @@ def _run_instrumented(args: argparse.Namespace, fault_spec=None) -> int:
         profiler = PhaseProfiler()
     checkpointer = None
     if args.checkpoint_out:
-        # Buffered events live inside the Recorder, which the
-        # checkpointer pickles whole — no separate writer state.
+        # Buffered events live inside the Recorder's checkpoint state
+        # — no separate writer state.
         from repro.ckpt import Checkpointer
 
         checkpointer = Checkpointer(
@@ -786,7 +786,7 @@ def _run_resume(args: argparse.Namespace) -> int:
     resumed again.
     """
     from repro.ckpt import Checkpointer, load_checkpoint, restore_writer
-    from repro.obs.streaming import StreamingRecorder
+    from repro.obs.recorder import Recorder
     from repro.sim.engine import Simulator
 
     checkpoint = load_checkpoint(args.resume)
@@ -824,25 +824,7 @@ def _run_resume(args: argparse.Namespace) -> int:
         f"(t={checkpoint.now:g})",
         file=sys.stderr,
     )
-    if isinstance(recorder, StreamingRecorder):
-        report = recorder.report()
-        if args.report:
-            print(report.render())
-        else:
-            print(
-                f"{report.policy}: n={report.n_transactions} "
-                f"avg_tardiness={result.average_tardiness:.3f} "
-                f"tardiness_p99={report.tardiness_p99:.3f} "
-                f"miss_ratio={report.miss_ratio:.4f} "
-                f"scheduling_points={report.scheduling_points}"
-            )
-        if writer is not None:
-            print(
-                f"event log ({writer.records_written} records) continued "
-                f"at {meta.get('events_out')}",
-                file=sys.stderr,
-            )
-    elif recorder is not None:
+    if isinstance(recorder, Recorder):
         report = recorder.report()
         if args.report:
             print(report.render())
@@ -862,6 +844,24 @@ def _run_resume(args: argparse.Namespace) -> int:
             )
             print(
                 f"event log ({written} records) written to {path}",
+                file=sys.stderr,
+            )
+    elif recorder is not None:
+        report = recorder.report()
+        if args.report:
+            print(report.render())
+        else:
+            print(
+                f"{report.policy}: n={report.n_transactions} "
+                f"avg_tardiness={result.average_tardiness:.3f} "
+                f"tardiness_p99={report.tardiness_p99:.3f} "
+                f"miss_ratio={report.miss_ratio:.4f} "
+                f"scheduling_points={report.scheduling_points}"
+            )
+        if writer is not None:
+            print(
+                f"event log ({writer.records_written} records) continued "
+                f"at {meta.get('events_out')}",
                 file=sys.stderr,
             )
     else:

@@ -6,19 +6,19 @@ opens the black box.  It provides:
 * :mod:`repro.obs.hooks` — the :class:`Instrument` callback protocol the
   engine drives (``Simulator(..., instrument=...)``), with a no-op
   :class:`NullInstrument` and a fan-out :class:`MultiInstrument`;
-* :mod:`repro.obs.metrics` — a dependency-free registry of counters,
-  gauges and fixed-bucket histograms;
 * :mod:`repro.obs.jsonl` — a schema-versioned JSON-lines event-log
   writer/reader, so any run can be exported and analyzed offline;
 * :mod:`repro.obs.timeline` — ready-queue depth, busy servers and
-  running tardiness sampled at every scheduling point;
+  running tardiness at every scheduling point;
 * :mod:`repro.obs.summary` — the per-run :class:`RunReport`;
-* :mod:`repro.obs.recorder` — :class:`Recorder`, the standard instrument
-  combining all of the above;
-* :mod:`repro.obs.streaming` — constant-memory telemetry: mergeable
+* :mod:`repro.obs.streaming` — the one telemetry core: mergeable
   quantile sketches, streaming moments, top-k culprits, tumbling-window
   time-series and the :class:`StreamingRecorder` instrument that keeps a
   10\\ :sup:`6`-transaction run in bounded memory;
+* :mod:`repro.obs.recorder` — the event-record builders, and
+  :class:`Recorder`, the standard instrument: a
+  :class:`StreamingRecorder` whose sink is an in-memory event list, with
+  the timeline and exact ``select()`` percentiles read off that list;
 * :mod:`repro.obs.progress` — wall-clock :class:`Heartbeat` /
   :class:`SweepHeartbeat` progress lines (outside the deterministic
   boundary; armed by the CLI's ``--progress``);
@@ -56,7 +56,6 @@ from repro.obs.jsonl import (
     read_tolerant,
     write,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.profile import (
     PhaseProfiler,
     PhaseStat,
@@ -81,10 +80,6 @@ __all__ = [
     "Instrument",
     "NullInstrument",
     "MultiInstrument",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "SCHEMA_VERSION",
     "JsonlWriter",
     "RotatingJsonlWriter",

@@ -1,20 +1,18 @@
-"""The standard full-fidelity instrument.
+"""The standard full-fidelity instrument, and the event-record builders.
 
-:class:`Recorder` subscribes to every engine hook and maintains, in one
-object, the three observability products of this package:
+:class:`Recorder` is a :class:`~repro.obs.streaming.StreamingRecorder`
+whose event sink is its own in-memory ``events`` list: one telemetry
+core (:class:`~repro.obs.streaming.RunTelemetry`) answers every
+aggregate, and the retained log — one dict per engine event, in the
+schema-versioned JSONL format of :mod:`repro.obs.jsonl` — answers the
+rest.  ``select_samples`` (per-point ``select()`` wall-times) and
+``timeline`` (a :class:`~repro.obs.timeline.Timeline` of ready-queue
+depth, busy servers and running tardiness) are views over that log.
 
-* a :class:`~repro.obs.metrics.MetricsRegistry` of counters and
-  histograms (preemption counts, queue-depth samples, ``select()``
-  latency, overhead paid);
-* a structured event list, one dict per engine event, in the
-  schema-versioned JSONL format of :mod:`repro.obs.jsonl`
-  (disable with ``keep_events=False`` for long runs);
-* a :class:`~repro.obs.timeline.Timeline` of ready-queue depth, busy
-  servers and running tardiness sampled at every scheduling point.
-
-After the run, :meth:`report` condenses everything into a
-:class:`~repro.obs.summary.RunReport` and :meth:`write_events` exports
-the event log::
+After the run, :meth:`Recorder.report` condenses everything into a
+:class:`~repro.obs.summary.RunReport` (the streaming report, with exact
+``select()`` percentiles taken from the log) and :meth:`write_events`
+exports the log::
 
     recorder = Recorder()
     result = Simulator(txns, policy, instrument=recorder).run()
@@ -26,13 +24,13 @@ A recorder observes exactly one run; attach a fresh one per run.
 
 from __future__ import annotations
 
+import dataclasses
 import pathlib
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import ObservabilityError
 from repro.obs import jsonl
-from repro.obs.hooks import Instrument
-from repro.obs.metrics import LATENCY_BUCKETS, MetricsRegistry
+from repro.obs.streaming import StreamingRecorder
 from repro.obs.summary import RunReport
 from repro.obs.timeline import Timeline
 
@@ -62,10 +60,10 @@ __all__ = [
 # Event-record builders.
 #
 # These define the one canonical dict shape per event kind (the schema
-# table in :mod:`repro.obs.jsonl`).  Both :class:`Recorder` and the
-# constant-memory :class:`~repro.obs.streaming.StreamingRecorder` build
-# their records here, so a streamed log is byte-identical to a buffered
-# one and :mod:`repro.obs.analyze` reads either.
+# table in :mod:`repro.obs.jsonl`).  :class:`StreamingRecorder` builds
+# every record here, whether its sink is a file or a :class:`Recorder`'s
+# list, so a streamed log is byte-identical to a buffered one and
+# :mod:`repro.obs.analyze` reads either.
 # ----------------------------------------------------------------------
 def run_start_record(
     schema: int, policy: str, n: int, servers: int
@@ -195,215 +193,70 @@ def run_end_record(
     return record
 
 
-class Recorder(Instrument):
-    """Collect metrics, events and a timeline from one simulation run.
+class _EventLog(list):
+    """A plain event list that is also an event sink."""
 
-    Parameters
-    ----------
-    keep_events:
-        When True (default) every engine event is kept as a dict for
-        JSONL export.  Disable on very long runs to keep only metrics
-        and the timeline.
+    __slots__ = ()
+    write = list.append
+
+
+class Recorder(StreamingRecorder):
+    """Stream one run's events into an in-memory log, and report on it.
+
+    Takes no options: the telemetry runs at the streaming defaults, and
+    the log keeps every event (export it with :meth:`write_events`,
+    which the CLI can sample and rotate).
     """
 
-    def __init__(self, keep_events: bool = True) -> None:
-        self.registry = MetricsRegistry()
-        self.timeline = Timeline()
-        self.events: list[dict] = []
-        self._keep_events = keep_events
-        self._select_samples: list[float] = []
-        self._arrivals = self.registry.counter("arrivals")
-        self._dispatches = self.registry.counter("dispatches")
-        self._preemptions = self.registry.counter("preemptions")
-        self._completions = self.registry.counter("completions")
-        self._sched_points = self.registry.counter("scheduling_points")
-        self._overhead = self.registry.counter("overhead_paid")
-        self._aborts = self.registry.counter("aborts")
-        self._retries = self.registry.counter("retries")
-        self._sheds = self.registry.counter("sheds")
-        self._crashes = self.registry.counter("crashes")
-        self._stalls = self.registry.counter("stalls")
-        self._queue_depth = self.registry.histogram("queue_depth")
-        self._select_hist = self.registry.histogram(
-            "select_seconds", bounds=LATENCY_BUCKETS
-        )
-        self._aborted_exhausted = 0
-        self._policy = "?"
-        self._n = 0
-        self._servers = 1
-        self._tardy = 0
-        self._total_tardiness = 0.0
-        self._end_time = 0.0
-        self._started = False
-        self._finished = False
+    def __init__(self) -> None:
+        self.events: list[dict] = _EventLog()
+        super().__init__(sink=self.events)
 
-    # ------------------------------------------------------------------
-    # Instrument callbacks.
-    # ------------------------------------------------------------------
-    def on_run_start(
-        self, policy_name: str, n_transactions: int, servers: int
-    ) -> None:
-        if self._started:
-            raise ObservabilityError(
-                "a Recorder observes exactly one run; attach a fresh one"
-            )
-        self._started = True
-        self._policy = policy_name
-        self._n = n_transactions
-        self._servers = servers
-        if self._keep_events:
-            self.events.append(
-                run_start_record(
-                    jsonl.SCHEMA_VERSION, policy_name, n_transactions, servers
-                )
-            )
-
-    def on_arrival(self, txn: "Transaction", now: float) -> None:
-        self._arrivals.inc()
-        if self._keep_events:
-            self.events.append(arrival_record(txn, now))
-
-    def on_dispatch(self, txn: "Transaction", now: float, overhead: float) -> None:
-        self._dispatches.inc()
-        if self._keep_events:
-            self.events.append(dispatch_record(txn, now, overhead))
-
-    def on_preempt(self, txn: "Transaction", now: float) -> None:
-        self._preemptions.inc()
-        if self._keep_events:
-            self.events.append(preempt_record(txn, now))
-
-    def on_overhead(self, txn: "Transaction", amount: float, now: float) -> None:
-        self._overhead.inc(amount)
-        if self._keep_events:
-            self.events.append(overhead_record(txn, amount, now))
-
-    def on_completion(self, txn: "Transaction", now: float) -> None:
-        self._completions.inc()
-        tardiness = max(0.0, now - txn.deadline)
-        self._total_tardiness += tardiness
-        if tardiness > 0.0:
-            self._tardy += 1
-        if self._keep_events:
-            self.events.append(completion_record(txn, now, tardiness))
-
-    # ------------------------------------------------------------------
-    # Fault-injection callbacks (schema-1 additive event kinds; a
-    # fault-free run emits none of them, keeping its log byte-identical).
-    # ------------------------------------------------------------------
-    def on_stall(self, txn: "Transaction", amount: float, now: float) -> None:
-        self._stalls.inc()
-        if self._keep_events:
-            self.events.append(stall_record(txn, amount, now))
-
-    def on_abort(
-        self,
-        txn: "Transaction",
-        now: float,
-        lost: float,
-        attempt: int,
-        exhausted: bool,
-    ) -> None:
-        self._aborts.inc()
-        if exhausted:
-            self._aborted_exhausted += 1
-        if self._keep_events:
-            self.events.append(abort_record(txn, now, lost, attempt, exhausted))
-
-    def on_retry(
-        self, txn: "Transaction", now: float, attempt: int, deadline: float
-    ) -> None:
-        self._retries.inc()
-        if self._keep_events:
-            self.events.append(retry_record(txn, now, attempt, deadline))
-
-    def on_crash(self, now: float, down: int) -> None:
-        self._crashes.inc()
-        if self._keep_events:
-            self.events.append(crash_record(now, down))
-
-    def on_recover(self, now: float, down: int) -> None:
-        if self._keep_events:
-            self.events.append(recover_record(now, down))
-
-    def on_shed(self, txn: "Transaction", now: float, reason: str) -> None:
-        self._sheds.inc()
-        if self._keep_events:
-            self.events.append(shed_record(txn, now, reason))
-
-    def on_scheduling_point(
-        self, now: float, ready: int, running: int, select_seconds: float
-    ) -> None:
-        self._sched_points.inc()
-        self._queue_depth.observe(ready)
-        self._select_hist.observe(select_seconds)
-        self._select_samples.append(select_seconds)
-        self.timeline.append(now, ready, running, self._total_tardiness)
-        if self._keep_events:
-            self.events.append(
-                sched_record(now, ready, running, select_seconds)
-            )
-
-    def on_run_end(self, now: float) -> None:
-        self._finished = True
-        self._end_time = now
-        if self._keep_events:
-            self.events.append(
-                run_end_record(
-                    now,
-                    completed=int(self._completions.value),
-                    tardy=self._tardy,
-                    aborted=self._aborted_exhausted,
-                    shed=int(self._sheds.value),
-                    retries=int(self._retries.value),
-                )
-            )
-
-    # ------------------------------------------------------------------
-    # Products.
-    # ------------------------------------------------------------------
     @property
     def select_samples(self) -> list[float]:
         """Per-scheduling-point ``select()`` wall-times, in seconds."""
-        return list(self._select_samples)
+        return [e["select_s"] for e in self.events if e["kind"] == "sched"]
+
+    @property
+    def timeline(self) -> Timeline:
+        """The log's scheduling points, with tardiness accrued so far."""
+        timeline = Timeline()
+        tardiness = 0.0
+        for event in self.events:
+            kind = event["kind"]
+            if kind == "completion":
+                tardiness += event["tardiness"]
+            elif kind == "sched":
+                timeline.append(
+                    event["t"], event["ready"], event["running"], tardiness
+                )
+        return timeline
 
     def report(self) -> RunReport:
-        """Condense the observed run into a :class:`RunReport`."""
-        if not self._started:
-            raise ObservabilityError("recorder has not observed a run yet")
-        p50, p90, p99, pmax = RunReport.select_percentiles(self._select_samples)
-        return RunReport(
-            policy=self._policy,
-            n_transactions=self._n,
-            servers=self._servers,
-            makespan=self._end_time,
-            scheduling_points=int(self._sched_points.value),
-            preemptions=int(self._preemptions.value),
-            arrivals=int(self._arrivals.value),
-            dispatches=int(self._dispatches.value),
-            completions=int(self._completions.value),
-            overhead_paid=self._overhead.value,
-            total_tardiness=self._total_tardiness,
-            max_ready_depth=self.timeline.max_ready_depth,
-            mean_ready_depth=self.timeline.mean_ready_depth,
-            select_total_seconds=sum(self._select_samples),
+        """The streaming report, with exact ``select()`` percentiles."""
+        p50, p90, p99, pmax = RunReport.select_percentiles(self.select_samples)
+        return dataclasses.replace(
+            super().report(),
             select_p50=p50,
             select_p90=p90,
             select_p99=p99,
             select_max=pmax,
-            aborted=self._aborted_exhausted,
-            shed=int(self._sheds.value),
-            retries=int(self._retries.value),
-            crashes=int(self._crashes.value),
-            stalls=int(self._stalls.value),
         )
+
+    def to_state(self) -> dict:
+        """Checkpoint state: the streaming state plus the log so far."""
+        return dict(super().to_state(), events=list(self.events))
+
+    @classmethod
+    def from_state(cls, state: Mapping, sink: object = None) -> "Recorder":
+        """Rebuild a mid-run recorder; its sink is always its own log."""
+        recorder = cls()
+        recorder.events.extend(state["events"])
+        recorder._restore(state)
+        return recorder
 
     def write_events(self, path: str | pathlib.Path) -> pathlib.Path:
         """Export the event log as schema-versioned JSONL."""
-        if not self._keep_events:
-            raise ObservabilityError(
-                "recorder was created with keep_events=False; no event log"
-            )
         if not self.events:
             raise ObservabilityError("no events recorded; run a simulation first")
         return jsonl.write(self.events, path)
@@ -411,5 +264,5 @@ class Recorder(Instrument):
     def __repr__(self) -> str:
         return (
             f"Recorder(policy={self._policy!r}, events={len(self.events)}, "
-            f"scheduling_points={int(self._sched_points.value)})"
+            f"scheduling_points={self._sched_points})"
         )

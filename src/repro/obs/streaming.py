@@ -54,7 +54,9 @@ per-transaction record:
     An :class:`~repro.obs.hooks.Instrument` maintaining a
     :class:`RunTelemetry` (plus optional windows and an optional JSONL
     sink with sampling) in constant memory, and condensing the run into
-    a quantile-bearing :class:`~repro.obs.summary.RunReport`.
+    a quantile-bearing :class:`~repro.obs.summary.RunReport`.  The
+    buffered :class:`~repro.obs.recorder.Recorder` is one of these
+    whose sink is its own event list.
 
 Everything here is deterministic — no wall clocks, no unseeded entropy —
 and ``repro.obs.streaming`` is enforced as such by ``repro.lint``
@@ -764,7 +766,9 @@ class RunTelemetry:
     """The constant-memory telemetry bundle of one (or many merged) runs.
 
     Carries quantile sketches for tardiness and response time, exact
-    moments for both, a Misra–Gries summary of the heaviest tardiness
+    moments for both, plain running sums behind the totals and averages
+    (added left to right, as a ``sum()`` over the completions in order
+    would), a Misra–Gries summary of the heaviest tardiness
     contributors ("blame culprits"), and exact integer outcome counts.
     :meth:`merge` folds another run's telemetry in; the parallel sweep
     harness merges per-cell telemetry in grid order, which makes
@@ -786,6 +790,8 @@ class RunTelemetry:
         "shed",
         "retries",
         "preemptions",
+        "tardiness_total",
+        "response_total",
         "weighted_total",
         "weighted_max",
         "makespan",
@@ -807,6 +813,8 @@ class RunTelemetry:
         self.shed = 0
         self.retries = 0
         self.preemptions = 0
+        self.tardiness_total = 0.0
+        self.response_total = 0.0
         self.weighted_total = 0.0
         self.weighted_max = 0.0
         self.makespan = 0.0
@@ -822,6 +830,8 @@ class RunTelemetry:
         self.response.add(response)
         self.tardiness_moments.add(tardiness)
         self.response_moments.add(response)
+        self.tardiness_total += tardiness
+        self.response_total += response
         weighted = tardiness * weight
         self.weighted_total += weighted
         if weighted > self.weighted_max:
@@ -835,8 +845,8 @@ class RunTelemetry:
     # ------------------------------------------------------------------
     @property
     def average_tardiness(self) -> float:
-        """Definition 4 over completed work (exact, via moments)."""
-        return self.tardiness_moments.total / max(1, self.completed)
+        """Definition 4 over completed work (exact: a running sum)."""
+        return self.tardiness_total / max(1, self.completed)
 
     @property
     def average_weighted_tardiness(self) -> float:
@@ -852,11 +862,11 @@ class RunTelemetry:
 
     @property
     def total_tardiness(self) -> float:
-        return self.tardiness_moments.total
+        return self.tardiness_total
 
     @property
     def average_response_time(self) -> float:
-        return self.response_moments.total / max(1, self.completed)
+        return self.response_total / max(1, self.completed)
 
     @property
     def deadline_miss_ratio(self) -> float:
@@ -877,6 +887,8 @@ class RunTelemetry:
         self.shed += other.shed
         self.retries += other.retries
         self.preemptions += other.preemptions
+        self.tardiness_total += other.tardiness_total
+        self.response_total += other.response_total
         self.weighted_total += other.weighted_total
         if other.weighted_max > self.weighted_max:
             self.weighted_max = other.weighted_max
@@ -921,6 +933,8 @@ class RunTelemetry:
             "shed": self.shed,
             "retries": self.retries,
             "preemptions": self.preemptions,
+            "tardiness_total": self.tardiness_total,
+            "response_total": self.response_total,
             "weighted_total": self.weighted_total,
             "weighted_max": self.weighted_max,
             "makespan": self.makespan,
@@ -948,6 +962,8 @@ class RunTelemetry:
         telemetry.shed = int(state["shed"])
         telemetry.retries = int(state["retries"])
         telemetry.preemptions = int(state["preemptions"])
+        telemetry.tardiness_total = float(state["tardiness_total"])
+        telemetry.response_total = float(state["response_total"])
         telemetry.weighted_total = float(state["weighted_total"])
         telemetry.weighted_max = float(state["weighted_max"])
         telemetry.makespan = float(state["makespan"])
@@ -963,12 +979,13 @@ class RunTelemetry:
 class StreamingRecorder(Instrument):
     """Constant-memory instrument: sketches + windows + optional sink.
 
-    The streaming counterpart of :class:`~repro.obs.recorder.Recorder`:
-    it retains **no per-transaction or per-event state**.  Completions
-    feed the run's :class:`RunTelemetry`; scheduling points feed the
-    optional :class:`WindowAggregator`; and when a ``sink`` is given
-    every event record is written through it immediately (optionally
-    sampled), instead of being buffered in memory.
+    The one telemetry core of :mod:`repro.obs`: it retains **no
+    per-transaction or per-event state**.  Completions feed the run's
+    :class:`RunTelemetry`; scheduling points feed the optional
+    :class:`WindowAggregator`; and when a ``sink`` is given every event
+    record is written through it immediately (optionally sampled).
+    :class:`~repro.obs.recorder.Recorder` is this class with its sink
+    set to an in-memory event list.
 
     Parameters
     ----------
@@ -1087,7 +1104,7 @@ class StreamingRecorder(Instrument):
     ) -> None:
         if self._started:
             raise ObservabilityError(
-                "a StreamingRecorder observes exactly one run; "
+                f"a {type(self).__name__} observes exactly one run; "
                 "attach a fresh one"
             )
         self._started = True
@@ -1257,7 +1274,7 @@ class StreamingRecorder(Instrument):
         """Condense the run into a quantile-bearing :class:`RunReport`."""
         if not self._started:
             raise ObservabilityError(
-                "streaming recorder has not observed a run yet"
+                f"{type(self).__name__} has not observed a run yet"
             )
         from repro.obs.summary import RunReport
 
@@ -1352,27 +1369,31 @@ class StreamingRecorder(Instrument):
             sample=float(state["sample"]),
             topk=int(telemetry_state["topk_capacity"]),
         )
-        recorder.telemetry = RunTelemetry.from_state(telemetry_state)
-        if state["windows"] is not None:
-            recorder._windows = WindowAggregator.from_state(state["windows"])
-        if recorder._sampler is not None:
-            recorder._sampler._sched_seen = int(state["sched_seen"])
-        recorder._policy = str(state["policy"])
-        recorder._n = int(state["n"])
-        recorder._servers = int(state["servers"])
-        recorder._started = bool(state["started"])
-        recorder._finished = bool(state["finished"])
-        recorder._end_time = float(state["end_time"])
-        recorder._sched_points = int(state["sched_points"])
-        recorder._select_total = float(state["select_total"])
-        recorder._select_max = float(state["select_max"])
-        recorder._dispatches = int(state["dispatches"])
-        recorder._overhead_paid = float(state["overhead_paid"])
-        recorder._max_ready = int(state["max_ready"])
-        recorder._ready_sum = int(state["ready_sum"])
-        recorder._crashes = int(state["crashes"])
-        recorder._stalls = int(state["stalls"])
+        recorder._restore(state)
         return recorder
+
+    def _restore(self, state: Mapping) -> None:
+        """Overwrite every accumulator with the checkpointed values."""
+        self.telemetry = RunTelemetry.from_state(state["telemetry"])
+        if state["windows"] is not None:
+            self._windows = WindowAggregator.from_state(state["windows"])
+        if self._sampler is not None:
+            self._sampler._sched_seen = int(state["sched_seen"])
+        self._policy = str(state["policy"])
+        self._n = int(state["n"])
+        self._servers = int(state["servers"])
+        self._started = bool(state["started"])
+        self._finished = bool(state["finished"])
+        self._end_time = float(state["end_time"])
+        self._sched_points = int(state["sched_points"])
+        self._select_total = float(state["select_total"])
+        self._select_max = float(state["select_max"])
+        self._dispatches = int(state["dispatches"])
+        self._overhead_paid = float(state["overhead_paid"])
+        self._max_ready = int(state["max_ready"])
+        self._ready_sum = int(state["ready_sum"])
+        self._crashes = int(state["crashes"])
+        self._stalls = int(state["stalls"])
 
     def __iter__(self) -> Iterator[None]:  # pragma: no cover - guard
         raise ObservabilityError(

@@ -30,8 +30,12 @@ def _fmt_seconds(seconds: float) -> str:
 class RunReport:
     """Summary of one instrumented simulation run.
 
-    Build one with :meth:`repro.obs.recorder.Recorder.report`; every
-    field is also reachable individually for assertions and dashboards.
+    Build one with :meth:`repro.obs.recorder.Recorder.report` or
+    :meth:`repro.obs.streaming.StreamingRecorder.report`; both fill
+    every field from the same streaming telemetry, so their reports
+    render the same rows (a ``Recorder``'s ``select()`` percentiles are
+    exact, read off its event log).  Every field is also reachable
+    individually for assertions and dashboards.
     """
 
     policy: str
@@ -69,9 +73,10 @@ class RunReport:
     stalls: int = 0
     #: Streaming-telemetry quantiles (:mod:`repro.obs.streaming`).
     #: ``quantile_accuracy`` is the sketch's relative-error bound α and
-    #: doubles as the presence flag: ``None`` (exact / non-streaming
-    #: runs) leaves these fields out of the rendered report.  Each
-    #: estimate is within ``α × true value`` of the exact quantile.
+    #: doubles as the presence flag: ``None`` (a report built by hand,
+    #: without telemetry) leaves these fields out of the rendered
+    #: report.  Each estimate is within ``α × true value`` of the exact
+    #: quantile.
     quantile_accuracy: float | None = None
     tardiness_p50: float = 0.0
     tardiness_p90: float = 0.0

@@ -179,12 +179,12 @@ class Simulator:
         code path and event schedule byte-identical to the fault-free
         engine.
     retain_records:
-        When True (default) the result carries one
+        Every result answers its aggregates from a constant-size
+        :class:`~repro.sim.results.StreamSummary`.  When True (default)
+        it also carries one
         :class:`~repro.sim.results.TransactionRecord` per transaction
-        plus a by-id index.  ``False`` is streaming mode: the result
-        carries only a constant-size
-        :class:`~repro.sim.results.StreamSummary` (every aggregate
-        metric still answers; per-transaction queries raise).  Pair with
+        plus a by-id index.  ``False`` is streaming mode: no records, so
+        per-transaction queries raise.  Pair with
         a :class:`~repro.obs.streaming.StreamingRecorder` instrument for
         quantiles and windowed time-series at bounded memory.
     checkpoint_every:
@@ -399,29 +399,21 @@ class Simulator:
                     ckpt.save(self, now)
         if self._instrument is not None:
             self._instrument.on_run_end(now)
-        if not self._retain_records:
-            summary = StreamSummary.from_transactions(
-                sorted(self._txns.values(), key=lambda t: t.txn_id),
-                preemptions=self.preemptions,
-            )
-            return SimulationResult(
-                self._policy.name,
-                (),
-                self._trace,
-                scheduling_points=self.scheduling_points,
-                preemptions=self.preemptions,
-                stream_summary=summary,
-            )
-        records = [
-            TransactionRecord.from_transaction(txn)
-            for txn in sorted(self._txns.values(), key=lambda t: t.txn_id)
-        ]
+        ordered = sorted(self._txns.values(), key=lambda t: t.txn_id)
+        summary = StreamSummary.from_transactions(
+            ordered, preemptions=self.preemptions
+        )
+        records = (
+            [TransactionRecord.from_transaction(txn) for txn in ordered]
+            if self._retain_records
+            else ()
+        )
         return SimulationResult(
             self._policy.name,
             records,
             self._trace,
             scheduling_points=self.scheduling_points,
-            preemptions=self.preemptions,
+            stream_summary=summary,
         )
 
     def _reset(self) -> None:

@@ -1,14 +1,19 @@
 """Simulation outputs.
 
-:class:`SimulationResult` carries one frozen record per transaction plus
-the aggregate metrics of Definitions 3–5 (tardiness, average tardiness,
-average weighted tardiness) and the worst-case metric of Section IV-F
-(maximum weighted tardiness).
+:class:`SimulationResult` answers the aggregate metrics of Definitions
+3–5 (tardiness, average tardiness, average weighted tardiness) and the
+worst-case metric of Section IV-F (maximum weighted tardiness) from one
+:class:`StreamSummary`, which the engine builds in every run.  One
+frozen :class:`TransactionRecord` per transaction rides along as an
+optional attachment: present by default, absent under
+``retain_records=False``, and needed only by the per-transaction
+queries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from repro.core.transaction import Transaction, TransactionState
@@ -23,11 +28,21 @@ __all__ = ["OUTCOMES", "TransactionRecord", "StreamSummary", "SimulationResult"]
 #: was exhausted, ``shed`` that admission control rejected the work.
 OUTCOMES = ("completed", "aborted", "shed")
 
-_STATE_TO_OUTCOME = {
-    TransactionState.COMPLETED: "completed",
-    TransactionState.ABORTED: "aborted",
-    TransactionState.SHED: "shed",
-}
+#: The transaction states behind :data:`OUTCOMES`, in the same order.
+_TXN_OUTCOMES = (
+    TransactionState.COMPLETED,
+    TransactionState.ABORTED,
+    TransactionState.SHED,
+)
+_STATE_TO_OUTCOME = dict(zip(_TXN_OUTCOMES, OUTCOMES))
+
+#: The row shape :meth:`StreamSummary._fold` reads, from either source.
+_TXN_FIELDS = attrgetter(
+    "txn_id", "state", "finish_time", "deadline", "weight", "arrival", "retries"
+)
+_RECORD_FIELDS = attrgetter(
+    "txn_id", "outcome", "finish", "deadline", "weight", "arrival", "retries"
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,14 +118,15 @@ class TransactionRecord:
 
 @dataclass(frozen=True, slots=True)
 class StreamSummary:
-    """Constant-size aggregates of a run whose records were not retained.
+    """The constant-size aggregates of one run.
 
-    Built by the engine under ``retain_records=False`` (streaming mode):
-    one pass over the transaction pool at run end, no
-    :class:`TransactionRecord` tuple, no by-id index.  Every aggregate a
-    :class:`SimulationResult` exposes is answerable from these scalars;
-    per-transaction queries are not (use streaming telemetry's top-k for
-    the heaviest culprits instead).
+    The engine builds one in one pass over the transaction pool at run
+    end, whether or not it keeps records; every aggregate a
+    :class:`SimulationResult` exposes reads it.  Sums are added left to
+    right in ``txn_id`` order, exactly as a ``sum()`` over the records
+    would add them on Python ≤ 3.11.  Per-transaction queries are not
+    answerable from it (use streaming telemetry's top-k for the
+    heaviest culprits instead).
     """
 
     n: int
@@ -131,36 +147,63 @@ class StreamSummary:
     def from_transactions(
         cls, transactions: Iterable[Transaction], preemptions: int = 0
     ) -> "StreamSummary":
+        return cls._fold(
+            map(_TXN_FIELDS, transactions), _TXN_OUTCOMES, preemptions
+        )
+
+    @classmethod
+    def from_records(
+        cls,
+        records: Sequence[TransactionRecord],
+        preemptions: int | None = None,
+    ) -> "StreamSummary":
+        """Summarise built records; ``preemptions`` defaults to their sum."""
+        if preemptions is None:
+            preemptions = sum(r.preemptions for r in records)
+        return cls._fold(map(_RECORD_FIELDS, records), OUTCOMES, preemptions)
+
+    @classmethod
+    def _fold(
+        cls, rows: Iterable[tuple], outcomes: tuple, preemptions: int
+    ) -> "StreamSummary":
+        """One pass over ``(txn_id, state, finish, deadline, weight,
+        arrival, retries)`` rows; ``outcomes`` holds the completed,
+        aborted and shed states, in that order.
+
+        A completion on time adds nothing: ``+ 0.0`` leaves a
+        non-negative sum unchanged, so skipping it keeps every total bit
+        for bit what adding ``max(0, f - d)`` per row would give.
+        """
+        done, aborted_state = outcomes[0], outcomes[1]
         n = completed = tardy = aborted = shed = retries = 0
         total_t = total_wt = max_t = max_wt = total_resp = makespan = 0.0
-        for txn in transactions:
-            outcome = _STATE_TO_OUTCOME.get(txn.state)
-            if outcome is None or txn.finish_time is None:
+        for txn_id, state, finish, deadline, weight, arrival, tries in rows:
+            if state not in outcomes or finish is None:
                 raise SimulationError(
-                    f"transaction {txn.txn_id} did not finish; cannot record"
+                    f"transaction {txn_id} did not finish; cannot record"
                 )
             n += 1
-            retries += txn.retries
-            if txn.finish_time > makespan:
-                makespan = txn.finish_time
-            if outcome == "aborted":
-                aborted += 1
-                continue
-            if outcome == "shed":
-                shed += 1
+            retries += tries
+            if finish > makespan:
+                makespan = finish
+            if state != done:
+                if state == aborted_state:
+                    aborted += 1
+                else:
+                    shed += 1
                 continue
             completed += 1
-            tardiness = max(0.0, txn.finish_time - txn.deadline)
-            weighted = tardiness * txn.weight
-            total_t += tardiness
-            total_wt += weighted
+            total_resp += finish - arrival
+            tardiness = finish - deadline
             if tardiness > 0.0:
                 tardy += 1
-            if tardiness > max_t:
-                max_t = tardiness
-            if weighted > max_wt:
-                max_wt = weighted
-            total_resp += txn.finish_time - txn.arrival
+                weighted = tardiness * weight
+                total_t += tardiness
+                total_wt += weighted
+                if tardiness > max_t:
+                    max_t = tardiness
+                if weighted > max_wt:
+                    max_wt = weighted
         return cls(
             n=n,
             completed=completed,
@@ -186,20 +229,23 @@ class SimulationResult:
     policy_name:
         Name of the scheduling policy that produced the run.
     records:
-        One :class:`TransactionRecord` per completed transaction — or
-        empty, iff ``stream_summary`` is given.
+        One :class:`TransactionRecord` per transaction, or empty when
+        the run kept none (``retain_records=False``); then
+        ``stream_summary`` is required.
     trace:
         Optional execution trace (``None`` unless tracing was enabled).
     scheduling_points:
         How many scheduling points the engine executed (``None`` when the
         result was built outside the engine, e.g. in tests).
     preemptions:
-        Total preemptions over the run.  Defaults to the sum of the
-        per-record preemption counts, which is what the engine reports.
+        Total preemptions over the run.  Defaults to the summary's
+        count, which for a summary built from records is the sum of the
+        per-record preemption counts.
     stream_summary:
-        Constant-size aggregates from a ``retain_records=False`` run.
-        Every aggregate property answers from the summary; the
-        per-transaction queries (:meth:`record_of`, :meth:`finish_order`,
+        The run's aggregates; every aggregate property answers from it.
+        The engine always passes one.  ``None`` builds it from
+        ``records``.  Without records the per-transaction queries
+        (:meth:`record_of`, :meth:`finish_order`,
         :meth:`tardy_records`, :meth:`tardiness_by_id`) raise
         :class:`~repro.errors.SimulationError` since the data was never
         kept.
@@ -208,33 +254,28 @@ class SimulationResult:
     def __init__(
         self,
         policy_name: str,
-        records: Sequence[TransactionRecord],
+        records: Sequence[TransactionRecord] = (),
         trace: Trace | None = None,
         scheduling_points: int | None = None,
         preemptions: int | None = None,
         stream_summary: StreamSummary | None = None,
     ) -> None:
-        if not records and stream_summary is None:
-            raise SimulationError("a simulation result needs >= 1 record")
-        if records and stream_summary is not None:
-            raise SimulationError(
-                "records and stream_summary are mutually exclusive"
-            )
-        self.policy_name = policy_name
         self.records = tuple(records)
+        if stream_summary is None:
+            if not self.records:
+                raise SimulationError("a simulation result needs >= 1 record")
+            stream_summary = StreamSummary.from_records(self.records)
+        self.policy_name = policy_name
         self.stream_summary = stream_summary
         self.trace = trace
         self.scheduling_points = scheduling_points
-        if preemptions is not None:
-            self.total_preemptions = preemptions
-        elif stream_summary is not None:
-            self.total_preemptions = stream_summary.preemptions
-        else:
-            self.total_preemptions = sum(r.preemptions for r in self.records)
+        self.total_preemptions = (
+            stream_summary.preemptions if preemptions is None else preemptions
+        )
         self._by_id = {r.txn_id: r for r in self.records}
 
     def _need_records(self, what: str) -> None:
-        if self.stream_summary is not None:
+        if not self.records:
             raise SimulationError(
                 f"{what} needs per-transaction records, but this result "
                 "was produced with retain_records=False (streaming mode); "
@@ -251,17 +292,12 @@ class SimulationResult:
     # ------------------------------------------------------------------
     @property
     def n(self) -> int:
-        if self.stream_summary is not None:
-            return self.stream_summary.n
-        return len(self.records)
+        return self.stream_summary.n
 
     @property
     def _n_completed(self) -> int:
-        if self.stream_summary is not None:
-            count = self.stream_summary.completed
-        else:
-            count = sum(1 for r in self.records if r.outcome == "completed")
-        return count if count else 1  # guard: all-failed run averages to 0
+        # guard: an all-failed run averages to 0
+        return self.stream_summary.completed or 1
 
     @property
     def average_tardiness(self) -> float:
@@ -275,66 +311,34 @@ class SimulationResult:
 
     @property
     def max_tardiness(self) -> float:
-        if self.stream_summary is not None:
-            return self.stream_summary.max_tardiness
-        return max(r.tardiness for r in self.records)
+        return self.stream_summary.max_tardiness
 
     @property
     def max_weighted_tardiness(self) -> float:
         """Worst-case metric of Figure 16."""
-        if self.stream_summary is not None:
-            return self.stream_summary.max_weighted_tardiness
-        return max(r.weighted_tardiness for r in self.records)
+        return self.stream_summary.max_weighted_tardiness
 
     @property
     def average_response_time(self) -> float:
-        if self.stream_summary is not None:
-            if not self.stream_summary.completed:
-                return 0.0
-            return (
-                self.stream_summary.total_response_time
-                / self.stream_summary.completed
-            )
-        completed = [r for r in self.records if r.outcome == "completed"]
-        if not completed:
-            return 0.0
-        return sum(r.response_time for r in completed) / len(completed)
+        return self.stream_summary.total_response_time / self._n_completed
 
     @property
     def total_tardiness(self) -> float:
-        if self.stream_summary is not None:
-            return self.stream_summary.total_tardiness
-        return sum(r.tardiness for r in self.records)
+        return self.stream_summary.total_tardiness
 
     @property
     def total_weighted_tardiness(self) -> float:
-        if self.stream_summary is not None:
-            return self.stream_summary.total_weighted_tardiness
-        return sum(r.weighted_tardiness for r in self.records)
+        return self.stream_summary.total_weighted_tardiness
 
     @property
     def deadline_miss_ratio(self) -> float:
         """Fraction of completed transactions finishing past their deadline."""
-        if self.stream_summary is not None:
-            if not self.stream_summary.completed:
-                return 0.0
-            return self.stream_summary.tardy / self.stream_summary.completed
-        completed = [r for r in self.records if r.outcome == "completed"]
-        if not completed:
-            return 0.0
-        missed = sum(1 for r in completed if not r.met_deadline)
-        return missed / len(completed)
+        return self.stream_summary.tardy / self._n_completed
 
     @property
     def tardy_count(self) -> int:
         """How many transactions completed after their deadline."""
-        if self.stream_summary is not None:
-            return self.stream_summary.tardy
-        return sum(
-            1
-            for r in self.records
-            if r.outcome == "completed" and not r.met_deadline
-        )
+        return self.stream_summary.tardy
 
     # ------------------------------------------------------------------
     # Outcome taxonomy (fault injection; all-zero in fault-free runs).
@@ -342,37 +346,27 @@ class SimulationResult:
     @property
     def completed_count(self) -> int:
         """How many transactions ran to completion."""
-        if self.stream_summary is not None:
-            return self.stream_summary.completed
-        return sum(1 for r in self.records if r.outcome == "completed")
+        return self.stream_summary.completed
 
     @property
     def aborted_count(self) -> int:
         """How many transactions exhausted their retry budget."""
-        if self.stream_summary is not None:
-            return self.stream_summary.aborted
-        return sum(1 for r in self.records if r.outcome == "aborted")
+        return self.stream_summary.aborted
 
     @property
     def shed_count(self) -> int:
         """How many transactions admission control rejected."""
-        if self.stream_summary is not None:
-            return self.stream_summary.shed
-        return sum(1 for r in self.records if r.outcome == "shed")
+        return self.stream_summary.shed
 
     @property
     def total_retries(self) -> int:
         """Total re-submissions across the run."""
-        if self.stream_summary is not None:
-            return self.stream_summary.retries
-        return sum(r.retries for r in self.records)
+        return self.stream_summary.retries
 
     @property
     def makespan(self) -> float:
         """Completion time of the last transaction."""
-        if self.stream_summary is not None:
-            return self.stream_summary.makespan
-        return max(r.finish for r in self.records)
+        return self.stream_summary.makespan
 
     def record_of(self, txn_id: int) -> TransactionRecord:
         self._need_records("record_of()")

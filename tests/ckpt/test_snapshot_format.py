@@ -15,6 +15,7 @@ from repro.ckpt import (
 from repro.errors import CheckpointError
 from repro.experiments.config import PolicySpec
 from repro.experiments.runner import generate_workloads, run_policy_on
+from repro.obs import NullInstrument, Recorder
 from repro.workload.spec import WorkloadSpec
 
 
@@ -159,6 +160,55 @@ class TestValidation:
         )
         with pytest.raises(CheckpointError, match="checkpoint version 2"):
             load_checkpoint(path)
+
+    def test_v3_checkpoint_rejected_at_load(self, tmp_path):
+        # Format 3 pickled a buffered Recorder whole, as an ``"object"``
+        # instrument entry; today's Recorder is a StreamingRecorder that
+        # rides as state, and an unpickled old one would have none of
+        # its streaming fields.  The header version must stop it at
+        # load instead.
+        assert CKPT_VERSION > 3
+        workload = generate_workloads(
+            WorkloadSpec(n_transactions=80, utilization=0.9), [3]
+        )[0]
+        path = tmp_path / "buffered.ckpt"
+        recorder = Recorder()
+        run_policy_on(
+            workload,
+            PolicySpec.of("asets"),
+            instrument=recorder,
+            checkpoint_every=30,
+            checkpointer=Checkpointer(path, instrument=recorder, max_saves=1),
+        )
+        data = path.read_bytes()
+        end = data.index(b"\n", len(CKPT_MAGIC))
+        header = json.loads(data[len(CKPT_MAGIC) : end])
+        blob = pickle.loads(data[end + 1 :])
+        blob["instrument"] = {"kind": "object", "object": recorder}
+        header["version"] = 3
+        path.write_bytes(
+            CKPT_MAGIC
+            + json.dumps(header, separators=(",", ":")).encode()
+            + b"\n"
+            + pickle.dumps(blob)
+        )
+        with pytest.raises(CheckpointError, match="checkpoint version 3"):
+            load_checkpoint(path)
+
+    def test_instrument_without_state_cannot_checkpoint(self, tmp_path):
+        workload = generate_workloads(
+            WorkloadSpec(n_transactions=80, utilization=0.9), [3]
+        )[0]
+        with pytest.raises(CheckpointError, match="to_state"):
+            run_policy_on(
+                workload,
+                PolicySpec.of("asets"),
+                instrument=NullInstrument(),
+                checkpoint_every=30,
+                checkpointer=Checkpointer(
+                    tmp_path / "x.ckpt", instrument=NullInstrument()
+                ),
+            )
 
     def test_torn_payload(self, checkpoint_path):
         data = checkpoint_path.read_bytes()

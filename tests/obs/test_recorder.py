@@ -2,17 +2,23 @@
 
 This is the acceptance test of the instrumentation layer: a run with
 ``Simulator(..., instrument=Recorder())`` must produce (a) a JSONL event
-log that round-trips through ``obs.jsonl.read()`` and (b) a RunReport
+log that round-trips through ``obs.jsonl.read()``, (b) a RunReport
 whose scheduling-point and preemption counts match the
-``SimulationResult``.
+``SimulationResult``, and (c) the same report, field for field, as a
+sinkless :class:`StreamingRecorder` on the same run — a ``Recorder`` is
+that streaming core plus an in-memory log.
 """
 
 import pytest
 
+from repro.ckpt import Checkpointer, load_checkpoint
 from repro.errors import ObservabilityError
-from repro.obs import Recorder, jsonl
+from repro.experiments.config import PolicySpec
+from repro.experiments.runner import run_policy_on
+from repro.faults import parse_fault_spec
+from repro.obs import Recorder, StreamingRecorder, jsonl
 from repro.policies import EDF
-from repro.policies.registry import make_policy
+from repro.policies.registry import available_policies, make_policy
 from repro.sim.engine import Simulator
 from repro.workload.generator import generate
 from repro.workload.spec import WorkloadSpec
@@ -72,15 +78,6 @@ def test_timeline_sampled_at_every_scheduling_point(recorded_run):
     assert tardiness[-1] == pytest.approx(result.total_tardiness)
 
 
-def test_registry_mirrors_report(recorded_run):
-    recorder, result = recorded_run
-    snap = recorder.registry.as_dict()
-    assert snap["completions"]["value"] == result.n
-    assert snap["scheduling_points"]["value"] == result.scheduling_points
-    assert snap["queue_depth"]["count"] == result.scheduling_points
-    assert snap["select_seconds"]["count"] == result.scheduling_points
-
-
 def test_select_latency_percentiles_populated(recorded_run):
     recorder, _ = recorded_run
     report = recorder.report()
@@ -106,16 +103,6 @@ def test_report_requires_a_run():
         Recorder().report()
 
 
-def test_keep_events_false_keeps_metrics_only(tmp_path):
-    txns = [make_txn(1, arrival=0.0, length=1.0)]
-    recorder = Recorder(keep_events=False)
-    Simulator(txns, EDF(), instrument=recorder).run()
-    assert recorder.events == []
-    assert recorder.report().completions == 1
-    with pytest.raises(ObservabilityError):
-        recorder.write_events(tmp_path / "x.jsonl")
-
-
 def test_overhead_paid_recorded(tmp_path):
     txns = [
         make_txn(1, arrival=0.0, length=2.0, deadline=50.0),
@@ -127,3 +114,105 @@ def test_overhead_paid_recorded(tmp_path):
     ).run()
     report = recorder.report()
     assert report.overhead_paid == pytest.approx(0.5)  # two cold starts
+
+
+CHAOS = parse_fault_spec(
+    "seed=3,abort_prob=0.1,max_retries=2,stall_prob=0.1,stall_max=1.0,"
+    "crash_count=1"
+)
+
+
+def _policy_spec(name):
+    if name == "balance-aware":
+        return PolicySpec.of(name, time_rate=50.0)
+    return PolicySpec.of(name)
+
+
+@pytest.mark.parametrize("name", available_policies())
+@pytest.mark.parametrize("faulted", [False, True], ids=["clean", "chaos"])
+def test_report_equals_streaming_report(name, faulted):
+    """Every field the two reports share is equal; only the ``select()``
+    wall-times differ between two runs, so they are left out."""
+    workload = generate(
+        WorkloadSpec(
+            n_transactions=150,
+            utilization=1.0,
+            weighted=True,
+            with_workflows=True,
+        ),
+        seed=19,
+    )
+    faults = CHAOS if faulted else None
+    recorder, streaming = Recorder(), StreamingRecorder()
+    run_policy_on(workload, _policy_spec(name), instrument=recorder, faults=faults)
+    run_policy_on(
+        workload, _policy_spec(name), instrument=streaming, faults=faults
+    )
+    a = recorder.report().as_dict()
+    b = streaming.report().as_dict()
+    assert a.keys() == b.keys()
+    for key in a:
+        if "select" not in key:
+            assert a[key] == b[key], (name, key)
+
+
+def test_telemetry_total_is_the_left_to_right_sum_of_the_log():
+    """``total_tardiness`` is a plain running sum: bit for bit the sum of
+    the log's ``completion.tardiness`` values, added in log order."""
+    workload = generate(
+        WorkloadSpec(
+            n_transactions=2000,
+            utilization=1.0,
+            weighted=True,
+            with_workflows=True,
+        ),
+        seed=4,
+    )
+    recorder = Recorder()
+    result = run_policy_on(
+        workload, PolicySpec.of("asets-star"), instrument=recorder
+    )
+    total = 0.0
+    for event in recorder.events:
+        if event["kind"] == "completion":
+            total += event["tardiness"]
+    assert recorder.telemetry.total_tardiness == total
+    assert recorder.report().total_tardiness == total
+    assert recorder.timeline.running_tardiness()[-1] == total
+    assert recorder.telemetry.average_tardiness == total / result.n
+
+
+def test_checkpointed_recorder_resumes_its_log(tmp_path):
+    """A Recorder rides in a checkpoint as state, events included; the
+    resumed run finishes the same log an uninterrupted run writes."""
+    workload = generate(
+        WorkloadSpec(n_transactions=120, utilization=0.9), seed=5
+    )
+    golden = Recorder()
+    run_policy_on(workload, PolicySpec.of("asets"), instrument=golden)
+
+    observed = Recorder()
+    checkpointer = Checkpointer(
+        tmp_path / "run.ckpt", instrument=observed, max_saves=1
+    )
+    run_policy_on(
+        workload,
+        PolicySpec.of("asets"),
+        instrument=observed,
+        checkpoint_every=40,
+        checkpointer=checkpointer,
+    )
+    checkpoint = load_checkpoint(tmp_path / "run.ckpt")
+    resumed = checkpoint.restore_instrument()
+    assert isinstance(resumed, Recorder)
+    assert 0 < len(resumed.events) < len(golden.events)
+    Simulator.resume_from(checkpoint, instrument=resumed).run()
+
+    def strip(events):
+        return [{k: v for k, v in e.items() if k != "select_s"} for e in events]
+
+    assert strip(resumed.events) == strip(golden.events)
+    a, b = resumed.report().as_dict(), golden.report().as_dict()
+    assert {k: v for k, v in a.items() if "select" not in k} == {
+        k: v for k, v in b.items() if "select" not in k
+    }
