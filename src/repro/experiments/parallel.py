@@ -43,6 +43,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import pathlib
+import signal
 import sys
 import threading
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -386,6 +387,21 @@ def _timeout_failures(group: CellGroup, timeout: float) -> list[CellFailure]:
     ]
 
 
+def _worker_signals() -> None:
+    """Pool-worker initializer: the parent alone handles interruption.
+
+    A forked worker inherits the parent's Python-level signal handlers.
+    Under the CLI's handlers (SIGTERM raises ``KeyboardInterrupt``), the
+    ``terminate()`` that reaps an abandoned pool raised inside the
+    worker's queue read instead of killing it, and the unwinding worker
+    could block forever on the queue's shared lock, so the parent never
+    exited.  Workers therefore die on SIGTERM and ignore SIGINT: a
+    terminal Ctrl-C reaches the parent, which reaps them.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 def _run_pooled(
     groups: Sequence[CellGroup],
     jobs: int,
@@ -399,7 +415,7 @@ def _run_pooled(
     two cases: the watchdog fired, or the caller interrupted the sweep
     (``KeyboardInterrupt``, re-raised after the cleanup is armed).
     """
-    pool = ProcessPoolExecutor(max_workers=jobs)
+    pool = ProcessPoolExecutor(max_workers=jobs, initializer=_worker_signals)
     abandon = False
     try:
         future_to_group = {

@@ -25,11 +25,19 @@ __all__ = [
 
 
 class CompletedLike(Protocol):
-    """Anything with a finish time, a deadline and a weight."""
+    """Anything with a finish time, a deadline and a weight.
 
-    finish: float
-    deadline: float
-    weight: float
+    The members are read-only, so immutable records match too.
+    """
+
+    @property
+    def finish(self) -> float: ...
+
+    @property
+    def deadline(self) -> float: ...
+
+    @property
+    def weight(self) -> float: ...
 
 
 def tardiness(record: CompletedLike) -> float:

@@ -10,7 +10,9 @@ At every scheduling point the engine suspends the running transaction
 lets the policy choose among all ready transactions, and dispatches the
 choice until the next event.  A transaction the policy re-selects keeps
 its pending completion event whenever the recomputed completion time is
-bit-identical to it.
+bit-identical to it, and never passes through the engine's ready set: its
+suspension is a state flip, and only a transaction that loses its server
+rejoins the set.
 
 Precedence is enforced by the engine, not the policies: a dependent
 transaction is reported ``ready`` only after everything in its dependency
@@ -32,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.transaction import Transaction, TransactionState
 from repro.core.workflow_set import WorkflowSet
@@ -88,6 +90,10 @@ _CKPT_CORE_FIELDS = (
 
 #: Tolerance for floating-point residues when a completion event fires.
 _EPS = 1e-9
+
+#: The two states a scheduling point flips incumbents between.
+_READY = TransactionState.READY
+_RUNNING = TransactionState.RUNNING
 
 #: Event kinds charged to the ``faults`` profiling phase (the rest of the
 #: batch loop is ``events``: arrivals, completions, activations).
@@ -183,8 +189,9 @@ class Simulator:
         :class:`~repro.sim.results.StreamSummary`.  When True (default)
         it also carries one
         :class:`~repro.sim.results.TransactionRecord` per transaction
-        plus a by-id index.  ``False`` is streaming mode: no records, so
-        per-transaction queries raise.  Pair with
+        (an immutable tuple, built positionally at run end), indexed by
+        id on the first lookup.  ``False`` is streaming mode: no
+        records, so per-transaction queries raise.  Pair with
         a :class:`~repro.obs.streaming.StreamingRecorder` instrument for
         quantiles and windowed time-series at bounded memory.
     checkpoint_every:
@@ -352,8 +359,10 @@ class Simulator:
             now = 0.0
         profiler = self._profiler
         ckpt = self._checkpointer
+        events = self._events
+        handlers = self._handlers()
         while self._finished < n:
-            if not self._events:
+            if not events:
                 raise SimulationError(
                     f"event queue exhausted with {n - self._finished} "
                     "transactions unfinished"
@@ -363,26 +372,28 @@ class Simulator:
                 # as a separate branch so the unprofiled path below pays
                 # nothing (the zero-cost-when-off contract, RL001).
                 t_pop = perf_counter()
-                batch = self._events.pop_batch()
+                batch = events.pop_batch()
                 now = batch[0].time
                 t_sync = perf_counter()
                 profiler.engine_phase("pop", t_sync - t_pop)
-                self._sync_running(now)
+                if self._running:
+                    self._sync_running(now)
                 t_events = perf_counter()
                 profiler.engine_phase("sync", t_events - t_sync)
                 for event in batch:
                     t_handle = perf_counter()
-                    self._handle(event, now)
+                    handlers[event.kind](event, now)
                     profiler.engine_phase(
                         "faults" if event.kind in _FAULT_KINDS else "events",
                         perf_counter() - t_handle,
                     )
             else:
-                batch = self._events.pop_batch()
+                batch = events.pop_batch()
                 now = batch[0].time
-                self._sync_running(now)
+                if self._running:
+                    self._sync_running(now)
                 for event in batch:
-                    self._handle(event, now)
+                    handlers[event.kind](event, now)
             if self._finished >= n:
                 break
             self._reschedule(now)
@@ -443,13 +454,16 @@ class Simulator:
         self._policy.attach_probe(
             self._profiler.probe() if self._profiler is not None else None
         )
-        # Seed arrivals off the flat columns: one contiguous float read
-        # per transaction instead of two attribute lookups.
+        # Seed arrivals off the flat columns in one bulk push: one
+        # contiguous float read per transaction, then one heapify.
         table = self._table
-        for i, txn_id in enumerate(table.ids):
-            self._events.push(
-                Event(table.arrival[i], EventKind.ARRIVAL, next(self._seq), txn_id)
-            )
+        seq = self._seq
+        self._events.push_all(
+            [
+                Event(arrival, EventKind.ARRIVAL, next(seq), txn_id)
+                for arrival, txn_id in zip(table.arrival, table.ids)
+            ]
+        )
         if self._faults is not None:
             self._fault_state = {
                 tid: _FaultState(schedule=sched)
@@ -558,21 +572,16 @@ class Simulator:
                 # workflow aggregates merge in O(1), no re-sweep.
                 self._workflows.notify_changed(txn.txn_id, "shrunk")
 
-    def _handle(self, event: Event, now: float) -> None:
-        if event.kind is EventKind.COMPLETION:
-            self._handle_completion(event, now)
-        elif event.kind is EventKind.ARRIVAL:
-            self._handle_arrival(event, now)
-        elif event.kind is EventKind.FAULT:
-            self._handle_fault(event, now)
-        elif event.kind is EventKind.CRASH:
-            self._handle_crash(now)
-        elif event.kind is EventKind.RECOVER:
-            self._handle_recover(now)
-        elif event.kind is EventKind.RETRY:
-            self._handle_retry(event, now)
-        else:
-            self._handle_activation(now)
+    def _handlers(self) -> tuple[Callable[[Event, float], None], ...]:
+        """The event handlers, indexed by :class:`EventKind` value.
+
+        The run loop dispatches ``handlers[event.kind](event, now)``:
+        one tuple index per event instead of a chain of kind tests.
+        """
+        return tuple(
+            getattr(self, f"_handle_{kind.name.lower()}")
+            for kind in sorted(EventKind)
+        )
 
     def _handle_completion(self, event: Event, now: float) -> None:
         """Finish the running transaction the event was scheduled for.
@@ -650,7 +659,7 @@ class Simulator:
             # A new pending member only improves the min/max aggregates.
             self._workflows.notify_changed(txn.txn_id, "arrived")
 
-    def _handle_activation(self, now: float) -> None:
+    def _handle_activation(self, event: Event, now: float) -> None:
         self._policy.on_activation(now)
         period = self._policy.activation_period
         if period is not None and self._finished < len(self._txns):
@@ -797,7 +806,7 @@ class Simulator:
         if self._workflows is not None:
             self._workflows.notify_changed(txn.txn_id)
 
-    def _handle_crash(self, now: float) -> None:
+    def _handle_crash(self, event: Event, now: float) -> None:
         """A crash window opens: one server goes down.
 
         The dispatch drain is not special-cased: the universal
@@ -810,7 +819,7 @@ class Simulator:
         if self._instrument is not None:
             self._instrument.on_crash(now, self._down)
 
-    def _handle_recover(self, now: float) -> None:
+    def _handle_recover(self, event: Event, now: float) -> None:
         self._down = max(0, self._down - 1)
         if self._instrument is not None:
             self._instrument.on_recover(now, self._down)
@@ -854,6 +863,7 @@ class Simulator:
         self.scheduling_points += 1
         instrument = self._instrument
         profiler = self._profiler
+        policy = self._policy
         t_body = perf_counter() if profiler is not None else 0.0
         # Admission control runs before the universal suspend: only READY
         # work can be shed, never a transaction holding a server.
@@ -861,11 +871,20 @@ class Simulator:
             self._shed_overload(now)
         table = self._table
         previous = self._running
+        # Suspend every running transaction (RUNNING -> READY) and offer
+        # it back to the policy.  The flip skips the ready set: an
+        # incumbent enters it only if it loses its server (below), so
+        # the common re-selection never round-trips through it.
         for dispatch in previous.values():
-            dispatch.txn.mark_suspended()
-            table.mark_ready(dispatch.txn.txn_id)
-            self._policy.on_requeue(dispatch.txn, now)
+            txn = dispatch.txn
+            if txn.state is not _RUNNING:
+                txn._expect_state(_RUNNING)  # raises
+            txn.state = _READY
+            policy.on_requeue(txn, now)
         self._running = running = {}
+        # Suspended incumbents not re-dispatched yet: READY, but outside
+        # the ready set until they lose their server.
+        suspended = len(previous)
 
         # Crashed servers accept no work until their window closes.
         available = (
@@ -876,55 +895,61 @@ class Simulator:
         select_seconds = 0.0
         for _ in range(available):
             if profiler is not None:
-                profiler.select_begin(table.ready_count)
+                profiler.select_begin(table.ready_count + suspended)
                 t0 = perf_counter()
-                candidate = self._policy.select(now)
+                candidate = policy.select(now)
                 dt = perf_counter() - t0
                 select_seconds += dt
                 profiler.select_end(dt)
             elif instrument is not None:
                 t0 = perf_counter()
-                candidate = self._policy.select(now)
+                candidate = policy.select(now)
                 select_seconds += perf_counter() - t0
             else:
-                candidate = self._policy.select(now)
+                candidate = policy.select(now)
             if candidate is None:
                 break
-            if candidate.state is not TransactionState.READY:
+            if candidate.state is not _READY:
                 raise SchedulingError(
-                    f"policy {self._policy.name} selected transaction "
+                    f"policy {policy.name} selected transaction "
                     f"{candidate.txn_id} in state {candidate.state}"
                 )
             if candidate.remaining <= 0:
                 raise SchedulingError(
-                    f"policy {self._policy.name} selected finished "
+                    f"policy {policy.name} selected finished "
                     f"transaction {candidate.txn_id}"
                 )
-            self._dispatch(candidate, now, previous.get(candidate.txn_id))
+            incumbent = previous.get(candidate.txn_id)
+            if incumbent is not None:
+                suspended -= 1
+            self._dispatch(candidate, now, incumbent)
 
         if previous and not running and available > 0:
             raise SchedulingError(
-                f"policy {self._policy.name} idled while "
+                f"policy {policy.name} idled while "
                 f"{sorted(previous)} were runnable"
             )
-        for txn_id, dispatch in previous.items():
-            txn = dispatch.txn
-            if txn_id not in running and not txn.is_completed:
-                txn.preemptions += 1
-                self.preemptions += 1
-                if instrument is not None:
-                    instrument.on_preempt(txn, now)
+        if suspended:
+            for txn_id, dispatch in previous.items():
+                if txn_id not in running:
+                    # Preempted: it stays READY and joins the ready set.
+                    txn = dispatch.txn
+                    table.mark_ready(txn_id)
+                    txn.preemptions += 1
+                    self.preemptions += 1
+                    if instrument is not None:
+                        instrument.on_preempt(txn, now)
         if profiler is not None:
             t_emit = perf_counter()
             if instrument is not None:
                 instrument.on_scheduling_point(
-                    now, table.ready_count, len(self._running), select_seconds
+                    now, table.ready_count, len(running), select_seconds
                 )
             t_done = perf_counter()
             profiler.point_end(select_seconds, t_emit - t_body, t_done - t_emit)
         elif instrument is not None:
             instrument.on_scheduling_point(
-                now, table.ready_count, len(self._running), select_seconds
+                now, table.ready_count, len(running), select_seconds
             )
 
     def _dispatch(
@@ -932,20 +957,27 @@ class Simulator:
     ) -> None:
         """Hand ``txn`` a server; ``previous`` is its dispatch until now.
 
-        A switch pays the full context-switch overhead; a continuation
-        keeps the unfinished overhead of its own dispatch.  A
-        continuation whose recomputed completion and fault-trigger times
-        are bit-identical to its pending events keeps its dispatch record
-        and token: those events are exactly the ones a re-dispatch would
-        push, so nothing is re-issued.  Any drift (a float ulp from
-        recharging work or serving leftover overhead, a moved fault
-        trigger) issues fresh events under a new token.
+        A switch pays the full context-switch overhead and leaves the
+        ready set; a continuation (a re-selected incumbent, never in the
+        ready set) flips back to RUNNING and keeps the unfinished
+        overhead of its own dispatch.  A continuation whose recomputed
+        completion and fault-trigger times are bit-identical to its
+        pending events keeps its dispatch record and token: those events
+        are exactly the ones a re-dispatch would push, so nothing is
+        re-issued.  Any drift (a float ulp from recharging work or
+        serving leftover overhead, a moved fault trigger) issues fresh
+        events under a new token.
         """
-        txn.mark_running(now)
-        self._table.unmark_ready(txn.txn_id)
-        overhead = (
-            previous.overhead_left if previous is not None else self._overhead
-        )
+        if previous is None:
+            txn.mark_running(now)
+            self._table.unmark_ready(txn.txn_id)
+            overhead = self._overhead
+        else:
+            if txn.state is not _READY:
+                txn._expect_state(_READY)  # raises
+            txn.state = _RUNNING
+            txn.last_dispatch_time = now
+            overhead = previous.overhead_left
         if self._instrument is not None:
             self._instrument.on_dispatch(txn, now, overhead)
         completion_at = now + overhead + txn.remaining

@@ -9,7 +9,7 @@ are handled within a single scheduling point.
 from __future__ import annotations
 
 import heapq
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.sim.events import Event
 
@@ -27,6 +27,10 @@ class EventQueue:
     >>> q.push(Event(2.0, EventKind.COMPLETION, seq=2, txn_id=3))
     >>> [e.kind.name for e in q.pop_batch()]
     ['COMPLETION', 'ARRIVAL']
+    >>> q.push_all([Event(1.0, EventKind.ARRIVAL, seq=4, txn_id=9),
+    ...             Event(1.0, EventKind.ACTIVATION, seq=3)])
+    >>> [e.seq for e in q.pop_batch()]
+    [4, 3]
     """
 
     __slots__ = ("_heap",)
@@ -36,6 +40,16 @@ class EventQueue:
 
     def push(self, event: Event) -> None:
         heapq.heappush(self._heap, event)
+
+    def push_all(self, events: Iterable[Event]) -> None:
+        """Push many events at once: append them all, then one heapify.
+
+        Linear in the queue size, against ``n log n`` for ``n`` pushes;
+        the pop order is the same, since events order totally.
+        """
+        heap = self._heap
+        heap.extend(events)
+        heapq.heapify(heap)
 
     def peek_time(self) -> float:
         """Timestamp of the earliest pending event."""

@@ -4,8 +4,8 @@
 3–5 (tardiness, average tardiness, average weighted tardiness) and the
 worst-case metric of Section IV-F (maximum weighted tardiness) from one
 :class:`StreamSummary`, which the engine builds in every run.  One
-frozen :class:`TransactionRecord` per transaction rides along as an
-optional attachment: present by default, absent under
+immutable :class:`TransactionRecord` tuple per transaction rides along
+as an optional attachment: present by default, absent under
 ``retain_records=False``, and needed only by the per-transaction
 queries.
 """
@@ -13,8 +13,9 @@ queries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from repro.core.transaction import Transaction, TransactionState
 from repro.errors import SimulationError
@@ -45,13 +46,17 @@ _RECORD_FIELDS = attrgetter(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class TransactionRecord:
+class TransactionRecord(NamedTuple):
     """Immutable per-transaction outcome of one simulation run.
 
     ``finish`` is the completion time for ``completed`` records and the
     abort/shed time otherwise.  ``first_start`` is ``None`` only for
     transactions shed before ever running.
+
+    A plain tuple, like :class:`~repro.sim.events.Event`: a run builds
+    one per transaction, and a tuple is several times cheaper to build
+    than a frozen dataclass.  Being a tuple, a record also compares
+    equal to (and sorts like) the plain tuple of its fields.
     """
 
     txn_id: int
@@ -102,17 +107,18 @@ class TransactionRecord:
             raise SimulationError(
                 f"transaction {txn.txn_id} completed without ever starting"
             )
+        # Positional, in field order: the run-end hot path.
         return cls(
-            txn_id=txn.txn_id,
-            arrival=txn.arrival,
-            length=txn.length,
-            deadline=txn.deadline,
-            weight=txn.weight,
-            finish=txn.finish_time,
-            first_start=txn.first_start_time,
-            preemptions=txn.preemptions,
-            outcome=outcome,
-            retries=txn.retries,
+            txn.txn_id,
+            txn.arrival,
+            txn.length,
+            txn.deadline,
+            txn.weight,
+            txn.finish_time,
+            txn.first_start_time,
+            txn.preemptions,
+            outcome,
+            txn.retries,
         )
 
 
@@ -272,7 +278,12 @@ class SimulationResult:
         self.total_preemptions = (
             stream_summary.preemptions if preemptions is None else preemptions
         )
-        self._by_id = {r.txn_id: r for r in self.records}
+
+    @cached_property
+    def _by_id(self) -> dict[int, TransactionRecord]:
+        """The records by transaction id, built on the first lookup:
+        most results are only asked for aggregates."""
+        return {r.txn_id: r for r in self.records}
 
     def _need_records(self, what: str) -> None:
         if not self.records:

@@ -1,15 +1,23 @@
 """Unit tests for the discrete-event engine."""
 
+from collections import Counter
+
 import pytest
 
-from repro.core.transaction import Transaction
-from repro.errors import SchedulingError, SimulationError
+from repro.core.transaction import Transaction, TransactionState
+from repro.errors import InvalidTransactionError, SchedulingError, SimulationError
+from repro.experiments.config import PolicySpec
+from repro.experiments.runner import run_policy_on
+from repro.faults import parse_fault_spec
 from repro.obs.recorder import Recorder
 from repro.policies import EDF, FCFS, SRPT
 from repro.policies.base import Scheduler
+from repro.policies.registry import available_policies
 from repro.sim.engine import Simulator
 from repro.sim.event_queue import EventQueue
 from repro.sim.events import EventKind
+from repro.workload.generator import generate
+from repro.workload.spec import WorkloadSpec
 from tests.conftest import chain, make_txn
 
 
@@ -133,11 +141,17 @@ class TestDependencies:
 def event_log(monkeypatch):
     """Every event pushed to and popped from any queue, in order."""
     log = {"pushed": [], "popped": []}
-    push, pop_batch = EventQueue.push, EventQueue.pop_batch
+    push, push_all = EventQueue.push, EventQueue.push_all
+    pop_batch = EventQueue.pop_batch
 
     def logged_push(self, event):
         log["pushed"].append(event)
         push(self, event)
+
+    def logged_push_all(self, events):
+        events = list(events)
+        log["pushed"].extend(events)
+        push_all(self, events)
 
     def logged_pop_batch(self):
         batch = pop_batch(self)
@@ -145,6 +159,7 @@ def event_log(monkeypatch):
         return batch
 
     monkeypatch.setattr(EventQueue, "push", logged_push)
+    monkeypatch.setattr(EventQueue, "push_all", logged_push_all)
     monkeypatch.setattr(EventQueue, "pop_batch", logged_pop_batch)
     return log
 
@@ -207,6 +222,115 @@ class TestContinuation:
         assert res.record_of(2).finish == finish_1 + 1.0
         assert res.record_of(1).preemptions == 0
 
+
+#: The CLI ``chaos`` target's default fault plan.
+CHAOS_PLAN = parse_fault_spec(
+    "abort_prob=0.1,max_retries=2,stall_prob=0.1,stall_max=1.0,crash_count=1"
+)
+
+A, C, T = EventKind.ARRIVAL, EventKind.COMPLETION, EventKind.ACTIVATION
+F, X, R, Y = EventKind.FAULT, EventKind.CRASH, EventKind.RECOVER, EventKind.RETRY
+
+#: Per registry policy and fault mode, on one n=400 weighted-workflow
+#: input: scheduling points, preemptions, events pushed per kind, and
+#: events still queued when the run ends (pushed minus popped).  Pinned
+#: literals: an engine change must leave this event work exactly as is.
+EVENT_WORK = [
+    ("asets", "clean", 845, 46, {A: 400, C: 446}, {}),
+    ("asets", "chaos", 1103, 67, {A: 400, C: 559, F: 99, X: 1, R: 1, Y: 44}, {}),
+    ("asets-star", "clean", 857, 58, {A: 400, C: 458}, {}),
+    ("asets-star", "chaos", 1130, 92, {A: 400, C: 584, F: 102, X: 1, R: 1, Y: 44}, {}),
+    ("balance-aware", "clean", 6601, 1974, {A: 400, C: 2374, T: 3921}, {T: 1}),
+    ("balance-aware", "chaos", 8240, 2892, {A: 400, C: 3384, T: 3951, F: 565, X: 1, R: 1, Y: 44}, {T: 1}),
+    ("edf", "clean", 807, 8, {A: 400, C: 408}, {}),
+    ("edf", "chaos", 1037, 9, {A: 400, C: 501, F: 92, X: 1, R: 1, Y: 44}, {}),
+    ("fcfs", "clean", 799, 0, {A: 400, C: 400}, {}),
+    ("fcfs", "chaos", 1081, 41, {A: 400, C: 533, F: 104, X: 1, R: 1, Y: 44}, {}),
+    ("hdf", "clean", 893, 94, {A: 400, C: 494}, {}),
+    ("hdf", "chaos", 1179, 131, {A: 400, C: 623, F: 111, X: 1, R: 1, Y: 44}, {}),
+    ("hvf", "clean", 889, 90, {A: 400, C: 490}, {}),
+    ("hvf", "chaos", 1187, 140, {A: 400, C: 632, F: 114, X: 1, R: 1, Y: 44}, {}),
+    ("ls", "clean", 932, 133, {A: 400, C: 533}, {}),
+    ("ls", "chaos", 1222, 163, {A: 400, C: 655, F: 124, X: 1, R: 1, Y: 44}, {}),
+    ("mix", "clean", 808, 9, {A: 400, C: 409}, {}),
+    ("mix", "chaos", 1038, 10, {A: 400, C: 502, F: 92, X: 1, R: 1, Y: 44}, {}),
+    ("non-preemptive", "clean", 799, 0, {A: 400, C: 400}, {}),
+    ("non-preemptive", "chaos", 1072, 39, {A: 400, C: 531, F: 102, X: 1, R: 1, Y: 44}, {}),
+    ("ready", "clean", 845, 46, {A: 400, C: 446}, {}),
+    ("ready", "chaos", 1103, 67, {A: 400, C: 559, F: 99, X: 1, R: 1, Y: 44}, {}),
+    ("srpt", "clean", 903, 104, {A: 400, C: 504}, {}),
+    ("srpt", "chaos", 1172, 128, {A: 400, C: 620, F: 110, X: 1, R: 1, Y: 44}, {}),
+]
+
+
+@pytest.fixture(scope="module")
+def weighted_workflows():
+    spec = WorkloadSpec(
+        n_transactions=400, utilization=1.0, weighted=True, with_workflows=True
+    )
+    return generate(spec, seed=7)
+
+
+def test_event_work_table_covers_the_registry():
+    assert sorted({row[0] for row in EVENT_WORK}) == available_policies()
+
+
+class TestEventWork:
+    @pytest.mark.parametrize(
+        "name, mode, points, preemptions, pushed, unpopped",
+        EVENT_WORK,
+        ids=[f"{row[0]}-{row[1]}" for row in EVENT_WORK],
+    )
+    def test_same_points_preemptions_and_events(
+        self,
+        event_log,
+        weighted_workflows,
+        name,
+        mode,
+        points,
+        preemptions,
+        pushed,
+        unpopped,
+    ):
+        kwargs = {"time_rate": 0.5} if name == "balance-aware" else {}
+        faults = CHAOS_PLAN if mode == "chaos" else None
+        result = run_policy_on(
+            weighted_workflows, PolicySpec.of(name, **kwargs), faults=faults
+        )
+        assert result.scheduling_points == points
+        assert result.total_preemptions == preemptions
+        assert Counter(e.kind for e in event_log["pushed"]) == pushed
+        popped = Counter(pushed)
+        popped.subtract(unpopped)
+        assert Counter(e.kind for e in event_log["popped"]) == +popped
+
+
+class _Tamper(EDF):
+    """EDF that forces ``victim`` into ``state`` at every arrival."""
+
+    def __init__(self, victim, state):
+        super().__init__()
+        self.victim = victim
+        self.state = state
+
+    def on_arrival(self, txn, now):
+        if txn is not self.victim:
+            self.victim.state = self.state
+        super().on_arrival(txn, now)
+
+
+class TestIncumbentStateChecks:
+    def test_suspending_a_non_running_incumbent_raises(self):
+        # Transaction 1 runs from t=0; at the t=1 point it is not RUNNING.
+        running = make_txn(1, arrival=0.0, length=5.0, deadline=6.0)
+        later = make_txn(2, arrival=1.0, length=1.0, deadline=50.0)
+        policy = _Tamper(running, TransactionState.READY)
+        with pytest.raises(
+            InvalidTransactionError,
+            match="transaction 1: expected state TransactionState.RUNNING, "
+            "found TransactionState.READY",
+        ):
+            Simulator([running, later], policy).run()
 
 class TestReplay:
     def test_engine_resets_transactions(self):

@@ -1,7 +1,10 @@
 """Unit tests for SimulationResult and TransactionRecord."""
 
+import pickle
+
 import pytest
 
+from repro.core.transaction import Transaction
 from repro.errors import SimulationError
 from repro.sim.results import SimulationResult, TransactionRecord
 from tests.conftest import make_txn
@@ -47,6 +50,68 @@ class TestTransactionRecord:
         assert r.finish == 3.0
         assert r.weight == 3.0
         assert r.first_start == 1.0
+
+
+class TestRecordContract:
+    def test_rejects_attribute_assignment(self):
+        r = rec()
+        with pytest.raises(AttributeError):
+            r.finish = 1.0
+        with pytest.raises(AttributeError):
+            r.extra = 1
+
+    def test_pickle_round_trip(self):
+        r = rec(finish=7.5)
+        back = pickle.loads(pickle.dumps(r))
+        assert back == r
+        assert type(back) is TransactionRecord
+        assert back.tardiness == 2.5
+
+    def test_keyword_and_positional_construction_agree(self):
+        positional = TransactionRecord(
+            3, 0.5, 2.0, 6.0, 1.5, 7.0, 1.0, 1, "completed", 0
+        )
+        keyword = TransactionRecord(
+            txn_id=3,
+            arrival=0.5,
+            length=2.0,
+            deadline=6.0,
+            weight=1.5,
+            finish=7.0,
+            first_start=1.0,
+            preemptions=1,
+        )
+        assert positional == keyword
+        # A record is a tuple: it equals the plain tuple of its fields.
+        assert keyword == (3, 0.5, 2.0, 6.0, 1.5, 7.0, 1.0, 1, "completed", 0)
+
+    def test_from_transaction_maps_every_field_by_name(self):
+        # Ten distinct values, so any two swapped fields would show.
+        t = Transaction(11, arrival=0.5, length=2.5, deadline=3.5, weight=5.0)
+        t.mark_ready()
+        t.mark_running(1.25)
+        t.charge(0.5)
+        t.mark_retry_wait()
+        t.rollback(full=False)
+        t.resubmit(2.0, deadline=4.25)
+        for start in (3.0, 3.5):
+            t.mark_running(start)
+            t.mark_preempted()
+        t.mark_running(4.75)
+        t.charge(2.0)
+        t.mark_completed(6.75)
+        r = TransactionRecord.from_transaction(t)
+        assert r.txn_id == 11
+        assert r.arrival == 0.5
+        assert r.length == 2.5
+        assert r.deadline == 4.25
+        assert r.weight == 5.0
+        assert r.finish == 6.75
+        assert r.first_start == 1.25
+        assert r.preemptions == 2
+        assert r.outcome == "completed"
+        assert r.retries == 1
+        assert len(set(r)) == len(TransactionRecord._fields) == 10
 
 
 class TestSimulationResult:
