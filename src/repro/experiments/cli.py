@@ -511,122 +511,56 @@ def _run_metadata(args: argparse.Namespace) -> dict:
     }
 
 
-def _export_events(
-    recorder, events_out: str, events_sample: float, events_rotate: int | None
-) -> tuple[object, int]:
-    """Write a buffered run's events, with optional sampling/rotation.
+def _export_events(recorder, meta: dict) -> tuple[object, int]:
+    """Write a buffered run's log as ``meta`` configures it.
 
-    Returns ``(path, records_written)`` — the streaming path writes
-    natively; this mirrors its sampling/rotation pipeline for events
-    buffered by a :class:`~repro.obs.recorder.Recorder`.
+    Returns ``(path, records_written)``.  The log goes through the same
+    :class:`~repro.obs.jsonl.SampledSink` a streaming run writes through.
     """
-    if events_sample < 1.0 or events_rotate is not None:
-        from repro.obs.jsonl import EventSampler
+    from repro.obs.jsonl import EventSampler, SampledSink
 
-        sampler = EventSampler(events_sample) if events_sample < 1.0 else None
-        with _make_sink(events_out, events_rotate) as sink:
-            for record in recorder.events:
-                if sampler is not None:
-                    if record.get("kind") == "run_start":
-                        record = dict(record, sample=sampler.rate)
-                    filtered = sampler.filter(record)
-                    if filtered is None:
-                        continue
-                    record = filtered
-                sink.write(record)
-        return sink.path, sink.records_written
-    path = recorder.write_events(events_out)
-    return path, len(recorder.events)
+    rate = float(meta.get("events_sample") or 1.0)
+    with _make_sink(meta["events_out"], meta.get("events_rotate")) as sink:
+        out = SampledSink(sink, EventSampler(rate)) if rate < 1.0 else sink
+        for record in recorder.events:
+            out.write(record)
+    return sink.path, sink.records_written
 
 
-def _run_streaming(args: argparse.Namespace, fault_spec=None) -> int:
-    """Constant-memory run: sketches + optional windows, retention off."""
-    from repro.experiments.runner import run_policy_streaming
-    from repro.workload.generator import generate
-    from repro.workload.spec import WorkloadSpec
+def _summary_line(recorder, result, faulted: bool) -> str:
+    """The one-line result of a ``run``, fresh or resumed.
 
-    spec = WorkloadSpec(n_transactions=args.n, utilization=args.utilization)
-    workload = generate(spec, seed=args.seed)
-    sink = (
-        _make_sink(args.events_out, args.events_rotate)
-        if args.events_out
-        else None
-    )
-    interval = _heartbeat_interval(args)
-    try:
-        if interval is None:
-            result, recorder = run_policy_streaming(
-                workload,
-                PolicySpec.of(args.policy),
-                window=args.window,
-                sink=sink,
-                sample=args.events_sample,
-                faults=fault_spec,
-                checkpoint_every=args.checkpoint_every,
-                checkpoint_out=args.checkpoint_out,
-                checkpoint_metadata=(
-                    _run_metadata(args) if args.checkpoint_out else None
-                ),
-            )
-        else:
-            # Heartbeat rides along via MultiInstrument; it observes only.
-            from repro.faults import plan_faults
-            from repro.obs.hooks import MultiInstrument
-            from repro.obs.progress import Heartbeat
-            from repro.obs.streaming import StreamingRecorder
-            from repro.sim.engine import Simulator
+    A buffered run reports its engine counts (plus the fault outcomes
+    when a fault plan was given); a streaming run its sketch quantiles.
+    """
+    from repro.obs import Recorder
 
-            workload.reset()
-            plan = None
-            if fault_spec is not None and not fault_spec.is_null:
-                plan = plan_faults(fault_spec, workload.transactions)
-            recorder = StreamingRecorder(
-                window=args.window, sink=sink, sample=args.events_sample
-            )
-            checkpointer = None
-            if args.checkpoint_out:
-                # The checkpointer captures the recorder, not the
-                # MultiInstrument: the heartbeat holds wall-clock state
-                # and is rebuilt fresh on resume.
-                from repro.ckpt import Checkpointer
-
-                checkpointer = Checkpointer(
-                    args.checkpoint_out,
-                    instrument=recorder,
-                    writer=sink if hasattr(sink, "ckpt_state") else None,
-                    metadata=_run_metadata(args),
-                )
-            result = Simulator(
-                workload.transactions,
-                PolicySpec.of(args.policy).make(),
-                workflow_set=workload.workflow_set,
-                instrument=MultiInstrument([recorder, Heartbeat(interval)]),
-                faults=plan,
-                retain_records=False,
-                checkpoint_every=args.checkpoint_every,
-                checkpointer=checkpointer,
-            ).run()
-    finally:
-        if sink is not None:
-            sink.close()
+    if recorder is None:  # a checkpoint taken without telemetry
+        return (
+            f"{result.policy_name}: n={result.n} "
+            f"avg_tardiness={result.average_tardiness:.3f}"
+        )
     report = recorder.report()
-    if args.report:
-        print(report.render())
-    else:
-        print(
-            f"{report.policy}: n={report.n_transactions} "
-            f"avg_tardiness={result.average_tardiness:.3f} "
+    line = (
+        f"{report.policy}: n={report.n_transactions} "
+        f"avg_tardiness={result.average_tardiness:.3f} "
+    )
+    if not isinstance(recorder, Recorder):
+        return line + (
             f"tardiness_p99={report.tardiness_p99:.3f} "
             f"miss_ratio={report.miss_ratio:.4f} "
             f"scheduling_points={report.scheduling_points}"
         )
-    if args.events_out:
-        print(
-            f"event log ({sink.records_written} records) streamed to "
-            f"{args.events_out}",
-            file=sys.stderr,
+    line += (
+        f"scheduling_points={report.scheduling_points} "
+        f"preemptions={report.preemptions}"
+    )
+    if faulted:
+        line += (
+            f" aborted={result.aborted_count} shed={result.shed_count} "
+            f"retries={result.total_retries}"
         )
-    return 0
+    return line
 
 
 def _write_profile(snapshot, path: str) -> str:
@@ -691,76 +625,107 @@ def _run_profile(args: argparse.Namespace, fault_spec=None) -> int:
     return 0
 
 
-def _run_instrumented(args: argparse.Namespace, fault_spec=None) -> int:
-    """One instrumented run: summary line, optional report and JSONL log."""
-    from repro.experiments.runner import run_policy_on
-    from repro.obs import Recorder
-    from repro.workload.generator import generate
-    from repro.workload.spec import WorkloadSpec
+def _run_single(args: argparse.Namespace, fault_spec=None) -> int:
+    """One ``run``, fresh or resumed: summary, report, event log, trace.
 
-    if args.streaming:
-        return _run_streaming(args, fault_spec)
+    A fresh run reads its configuration from the command line, a resumed
+    one from its checkpoint's metadata (the :func:`_run_metadata` of the
+    original command line).  A resumed run's streamed log is truncated
+    back to the snapshot and continued, and a buffered one is rewritten
+    whole, so the finished artifacts are byte-identical to an
+    uninterrupted run's.  Checkpointing continues at the original
+    cadence (override with --checkpoint-every / --checkpoint-out), so a
+    resumed run can itself be killed and resumed again.
+    """
+    from repro.ckpt import Checkpointer, load_checkpoint, restore_writer
+    from repro.experiments.runner import _replay
+    from repro.obs import Heartbeat, MultiInstrument, Recorder, StreamingRecorder
 
-    spec = WorkloadSpec(n_transactions=args.n, utilization=args.utilization)
-    workload = generate(spec, seed=args.seed)
-    recorder = Recorder()
-    interval = _heartbeat_interval(args)
-    instrument = recorder
-    if interval is not None:
-        from repro.obs.hooks import MultiInstrument
-        from repro.obs.progress import Heartbeat
-
-        instrument = MultiInstrument([recorder, Heartbeat(interval)])
-    profiler = None
-    if args.profile_out:
-        from repro.obs.profile import PhaseProfiler
-
-        profiler = PhaseProfiler()
-    checkpointer = None
-    if args.checkpoint_out:
-        # Buffered events live inside the Recorder's checkpoint state
-        # — no separate writer state.
-        from repro.ckpt import Checkpointer
-
-        checkpointer = Checkpointer(
-            args.checkpoint_out,
-            instrument=recorder,
-            metadata=_run_metadata(args),
-        )
-    result = run_policy_on(
-        workload,
-        PolicySpec.of(args.policy),
-        instrument=instrument,
-        faults=fault_spec,
-        profiler=profiler,
-        checkpoint_every=args.checkpoint_every,
-        checkpointer=checkpointer,
-    )
-    report = recorder.report()
-    if args.report:
-        print(report.render())
+    checkpoint = profiler = None
+    if args.resume is not None:
+        checkpoint = load_checkpoint(args.resume)
+        meta = checkpoint.metadata
+        writer = restore_writer(checkpoint.writer_state)
+        recorder = checkpoint.restore_instrument(sink=writer)
+        every = args.checkpoint_every or meta.get("checkpoint_every")
+        checkpoint_out = args.checkpoint_out or args.resume
     else:
-        fault_suffix = ""
-        if fault_spec is not None:
-            fault_suffix = (
-                f" aborted={result.aborted_count} shed={result.shed_count} "
-                f"retries={result.total_retries}"
+        meta = _run_metadata(args)
+        writer = None
+        if args.streaming:
+            if args.events_out:
+                writer = _make_sink(args.events_out, args.events_rotate)
+            recorder = StreamingRecorder(
+                window=args.window, sink=writer, sample=args.events_sample
             )
-        print(
-            f"{report.policy}: n={report.n_transactions} "
-            f"avg_tardiness={result.average_tardiness:.3f} "
-            f"scheduling_points={report.scheduling_points} "
-            f"preemptions={report.preemptions}{fault_suffix}"
+        else:
+            recorder = Recorder()
+        every, checkpoint_out = args.checkpoint_every, args.checkpoint_out
+        if args.profile_out:
+            from repro.obs.profile import PhaseProfiler
+
+            profiler = PhaseProfiler()
+    checkpointer = None
+    if every:
+        # The checkpointer captures the recorder, not the heartbeat: that
+        # holds wall-clock state and is rebuilt fresh on resume.  A
+        # buffered log rides inside the Recorder's own state.
+        checkpointer = Checkpointer(
+            checkpoint_out, instrument=recorder, writer=writer, metadata=meta
         )
-    if args.events_out:
-        path, written = _export_events(
-            recorder, args.events_out, args.events_sample, args.events_rotate
-        )
+    instrument = recorder
+    interval = _heartbeat_interval(args)
+    if interval is not None and recorder is not None:
+        instrument = MultiInstrument([recorder, Heartbeat(interval)])
+    try:
+        if checkpoint is not None:
+            from repro.sim.engine import Simulator
+
+            result = Simulator.resume_from(
+                checkpoint,
+                instrument=instrument,
+                checkpoint_every=every,
+                checkpointer=checkpointer,
+            ).run()
+        else:
+            from repro.workload.generator import generate
+            from repro.workload.spec import WorkloadSpec
+
+            spec = WorkloadSpec(n_transactions=args.n, utilization=args.utilization)
+            result = _replay(
+                generate(spec, seed=args.seed),
+                PolicySpec.of(args.policy),
+                fault_spec,
+                instrument=instrument,
+                profiler=profiler,
+                retain_records=not args.streaming,
+                checkpoint_every=every,
+                checkpointer=checkpointer,
+            )
+    finally:
+        if writer is not None:
+            writer.close()
+    if checkpoint is not None:
         print(
-            f"event log ({written} records) written to {path}",
+            f"resumed {args.resume} at event {checkpoint.events_processed} "
+            f"(t={checkpoint.now:g})",
             file=sys.stderr,
         )
-    if args.trace_out:
+    if args.report and recorder is not None:
+        print(recorder.report().render())
+    else:
+        print(_summary_line(recorder, result, meta.get("faults") is not None))
+    if writer is not None:
+        verb = "streamed to" if checkpoint is None else "continued at"
+        print(
+            f"event log ({writer.records_written} records) {verb} "
+            f"{meta.get('events_out')}",
+            file=sys.stderr,
+        )
+    elif meta.get("events_out") and isinstance(recorder, Recorder):
+        path, written = _export_events(recorder, meta)
+        print(f"event log ({written} records) written to {path}", file=sys.stderr)
+    if args.trace_out and isinstance(recorder, Recorder):
         from repro.obs.analyze import reconstruct, write_trace
 
         trace_path = write_trace(reconstruct(recorder.events), args.trace_out)
@@ -770,104 +735,6 @@ def _run_instrumented(args: argparse.Namespace, fault_spec=None) -> int:
             "profile snapshot written to "
             f"{_write_profile(profiler.snapshot(args.policy), args.profile_out)}",
             file=sys.stderr,
-        )
-    return 0
-
-
-def _run_resume(args: argparse.Namespace) -> int:
-    """Resume a killed ``run`` from its checkpoint to completion.
-
-    The run configuration (policy, workload, streaming mode, event log)
-    comes from the checkpoint's metadata; the event log is truncated
-    back to the snapshot and continued, so the finished artifacts are
-    byte-identical to an uninterrupted run's.  Checkpointing continues
-    at the original cadence (override with --checkpoint-every /
-    --checkpoint-out), so a resumed run can itself be killed and
-    resumed again.
-    """
-    from repro.ckpt import Checkpointer, load_checkpoint, restore_writer
-    from repro.obs.recorder import Recorder
-    from repro.sim.engine import Simulator
-
-    checkpoint = load_checkpoint(args.resume)
-    meta = checkpoint.metadata
-    writer = restore_writer(checkpoint.writer_state)
-    recorder = checkpoint.restore_instrument(sink=writer)
-    every = args.checkpoint_every or meta.get("checkpoint_every")
-    checkpointer = None
-    if every:
-        checkpointer = Checkpointer(
-            args.checkpoint_out or args.resume,
-            instrument=recorder,
-            writer=writer,
-            metadata=meta,
-        )
-    instrument = recorder
-    interval = _heartbeat_interval(args)
-    if interval is not None and recorder is not None:
-        from repro.obs.hooks import MultiInstrument
-        from repro.obs.progress import Heartbeat
-
-        instrument = MultiInstrument([recorder, Heartbeat(interval)])
-    try:
-        result = Simulator.resume_from(
-            checkpoint,
-            instrument=instrument,
-            checkpoint_every=every,
-            checkpointer=checkpointer,
-        ).run()
-    finally:
-        if writer is not None:
-            writer.close()
-    print(
-        f"resumed {args.resume} at event {checkpoint.events_processed} "
-        f"(t={checkpoint.now:g})",
-        file=sys.stderr,
-    )
-    if isinstance(recorder, Recorder):
-        report = recorder.report()
-        if args.report:
-            print(report.render())
-        else:
-            print(
-                f"{report.policy}: n={report.n_transactions} "
-                f"avg_tardiness={result.average_tardiness:.3f} "
-                f"scheduling_points={report.scheduling_points} "
-                f"preemptions={report.preemptions}"
-            )
-        if meta.get("events_out"):
-            path, written = _export_events(
-                recorder,
-                meta["events_out"],
-                float(meta.get("events_sample") or 1.0),
-                meta.get("events_rotate"),
-            )
-            print(
-                f"event log ({written} records) written to {path}",
-                file=sys.stderr,
-            )
-    elif recorder is not None:
-        report = recorder.report()
-        if args.report:
-            print(report.render())
-        else:
-            print(
-                f"{report.policy}: n={report.n_transactions} "
-                f"avg_tardiness={result.average_tardiness:.3f} "
-                f"tardiness_p99={report.tardiness_p99:.3f} "
-                f"miss_ratio={report.miss_ratio:.4f} "
-                f"scheduling_points={report.scheduling_points}"
-            )
-        if writer is not None:
-            print(
-                f"event log ({writer.records_written} records) continued "
-                f"at {meta.get('events_out')}",
-                file=sys.stderr,
-            )
-    else:
-        print(
-            f"{checkpoint.policy_name}: n={result.n} "
-            f"avg_tardiness={result.average_tardiness:.3f}"
         )
     return 0
 
@@ -1045,13 +912,14 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         return _run_analyze(args)
     if args.target == "diff":
         return _run_diff(args)
-    if args.target == "profile":
+    if args.target in ("run", "profile") and args.resume is None:
         from repro.policies.registry import available_policies
 
         if args.policy not in available_policies():
             _unknown_name_error(
                 parser, "policy", args.policy, available_policies()
             )
+    if args.target == "profile":
         if args.flame_format not in _FLAME_FORMATS:
             _unknown_name_error(
                 parser, "flame format", args.flame_format, _FLAME_FORMATS
@@ -1059,13 +927,7 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         return _run_profile(args, fault_spec=_parse_faults(parser, args))
     if args.target == "run":
         if args.resume is not None:
-            return _run_resume(args)
-        from repro.policies.registry import available_policies
-
-        if args.policy not in available_policies():
-            _unknown_name_error(
-                parser, "policy", args.policy, available_policies()
-            )
+            return _run_single(args)
         if not 0.0 < args.events_sample <= 1.0:
             parser.error(
                 f"--events-sample must be in (0, 1], got {args.events_sample}"
@@ -1092,7 +954,7 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
                 "--profile-out needs the buffered engine path; drop "
                 "--streaming, or use the 'profile' target"
             )
-        return _run_instrumented(args, fault_spec=_parse_faults(parser, args))
+        return _run_single(args, fault_spec=_parse_faults(parser, args))
     if args.target == "chaos":
         return _run_chaos(
             args, _parse_faults(parser, args, default=_DEFAULT_CHAOS_FAULTS)

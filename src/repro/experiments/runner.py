@@ -43,6 +43,29 @@ def generate_workloads(spec: WorkloadSpec, seeds: Iterable[int]) -> list[Workloa
     return [generate(spec, seed) for seed in seeds]
 
 
+def _replay(
+    workload: Workload,
+    policy_spec: PolicySpec,
+    faults: FaultSpec | None,
+    **options: object,
+) -> SimulationResult:
+    """The one run core: reset, plan faults, simulate.
+
+    ``options`` go to :class:`~repro.sim.engine.Simulator` unchanged.
+    """
+    workload.reset()
+    plan = None
+    if faults is not None and not faults.is_null:
+        plan = plan_faults(faults, workload.transactions)
+    return Simulator(
+        workload.transactions,
+        policy_spec.make(),
+        workflow_set=workload.workflow_set,
+        faults=plan,
+        **options,
+    ).run()
+
+
 def run_policy_on(
     workload: Workload,
     policy_spec: PolicySpec,
@@ -67,20 +90,15 @@ def run_policy_on(
     crash-resilient (:mod:`repro.ckpt`); checkpointing is likewise
     observation-only.
     """
-    workload.reset()
-    plan = None
-    if faults is not None and not faults.is_null:
-        plan = plan_faults(faults, workload.transactions)
-    return Simulator(
-        workload.transactions,
-        policy_spec.make(),
-        workflow_set=workload.workflow_set,
+    return _replay(
+        workload,
+        policy_spec,
+        faults,
         instrument=instrument,
-        faults=plan,
         profiler=profiler,
         checkpoint_every=checkpoint_every,
         checkpointer=checkpointer,
-    ).run()
+    )
 
 
 def run_policy_streaming(
@@ -113,10 +131,6 @@ def run_policy_streaming(
     """
     from repro.obs.streaming import StreamingRecorder
 
-    workload.reset()
-    plan = None
-    if faults is not None and not faults.is_null:
-        plan = plan_faults(faults, workload.transactions)
     recorder = StreamingRecorder(
         quantile_accuracy=quantile_accuracy,
         window=window,
@@ -133,16 +147,15 @@ def run_policy_streaming(
             writer=sink if hasattr(sink, "ckpt_state") else None,
             metadata=checkpoint_metadata,
         )
-    result = Simulator(
-        workload.transactions,
-        policy_spec.make(),
-        workflow_set=workload.workflow_set,
+    result = _replay(
+        workload,
+        policy_spec,
+        faults,
         instrument=recorder,
-        faults=plan,
         retain_records=False,
         checkpoint_every=checkpoint_every,
         checkpointer=checkpointer,
-    ).run()
+    )
     return result, recorder
 
 
@@ -163,7 +176,6 @@ def metric_spread(
     workloads: Sequence[Workload],
     policy_spec: PolicySpec,
     metric: str,
-    streaming: bool = False,
 ) -> tuple[float, float, float]:
     """Mean plus a normal-approximation confidence interval over seeds.
 
@@ -171,21 +183,8 @@ def metric_spread(
     the interval quantifies how much seed noise those means carry —
     worth checking before reading anything into a small gap between two
     policies.
-
-    With ``streaming=True`` each run executes in constant-memory mode
-    (``retain_records=False`` + :func:`run_policy_streaming`); every
-    aggregate metric answers exactly from the stream summary, so the
-    returned values are identical to the stored-record path.
     """
-    if streaming:
-        values = [
-            getattr(run_policy_streaming(w, policy_spec)[0], metric)
-            for w in workloads
-        ]
-    else:
-        values = [
-            getattr(run_policy_on(w, policy_spec), metric) for w in workloads
-        ]
+    values = [getattr(run_policy_on(w, policy_spec), metric) for w in workloads]
     low, high = confidence_interval(values)
     return mean(values), low, high
 

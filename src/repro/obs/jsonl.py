@@ -97,6 +97,7 @@ __all__ = [
     "EventSchema",
     "EventSink",
     "EventSampler",
+    "SampledSink",
     "JsonlWriter",
     "RotatingJsonlWriter",
     "write",
@@ -539,6 +540,35 @@ class EventSampler:
             kept["sampled"] = False
             return kept
         return None
+
+
+class SampledSink:
+    """An :class:`EventSink` that thins records on their way to ``sink``.
+
+    The one sampling path for event logs: a streaming run writes through
+    it as it goes, and a buffered run's log is exported through it after
+    the run, so both produce the same records.  The ``run_start`` header
+    gains the keep rate (ahead of any window width); every other record
+    passes through ``sampler``.
+    """
+
+    __slots__ = ("sink", "sampler")
+
+    def __init__(self, sink: EventSink, sampler: EventSampler) -> None:
+        self.sink = sink
+        self.sampler = sampler
+
+    def write(self, record: dict) -> None:
+        if record["kind"] == "run_start":
+            record = dict(record, sample=self.sampler.rate)
+            if "window" in record:
+                record["window"] = record.pop("window")
+        else:
+            filtered = self.sampler.filter(record)
+            if filtered is None:
+                return
+            record = filtered
+        self.sink.write(record)
 
 
 def write(records: Iterable[dict], path: str | pathlib.Path) -> pathlib.Path:

@@ -204,8 +204,8 @@ class Recorder(StreamingRecorder):
     """Stream one run's events into an in-memory log, and report on it.
 
     Takes no options: the telemetry runs at the streaming defaults, and
-    the log keeps every event (export it with :meth:`write_events`,
-    which the CLI can sample and rotate).
+    the log keeps every event (export it with :meth:`write_events`, or
+    sampled through a :class:`~repro.obs.jsonl.SampledSink`).
     """
 
     def __init__(self) -> None:

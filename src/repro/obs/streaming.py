@@ -69,7 +69,8 @@ and formats in full.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterator, Mapping
+import sys
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from repro.errors import ObservabilityError
 
@@ -91,6 +92,21 @@ __all__ = [
 
 #: Magnitudes below this collapse into the sketch's exact zero bucket.
 MIN_TRACKABLE = 1e-12
+
+
+def _scalar_state(obj: object, names: Iterable[str]) -> dict:
+    """Checkpoint state of ``obj``'s scalar attributes ``names``, keyed
+    without their leading underscore."""
+    # Interned keys pickle as memo references, so checkpoints stay as
+    # small as with literal keys.
+    return {sys.intern(name.lstrip("_")): getattr(obj, name) for name in names}
+
+
+def _restore_scalars(obj: object, state: Mapping, names: Iterable[str]) -> None:
+    """Inverse of :func:`_scalar_state` on a freshly built ``obj``: each
+    value is cast to the type of the attribute's initial value."""
+    for name in names:
+        setattr(obj, name, type(getattr(obj, name))(state[name.lstrip("_")]))
 
 
 class QuantileSketch:
@@ -727,38 +743,12 @@ class WindowAggregator:
 
     def to_state(self) -> dict:
         """Checkpoint state: every accumulator of the open window."""
-        return {
-            "width": self.width,
-            "servers": self.servers,
-            "index": self._index,
-            "arrivals": self._arrivals,
-            "completions": self._completions,
-            "tardy": self._tardy,
-            "tardiness": self._tardiness,
-            "queue_samples": self._queue_samples,
-            "queue_sum": self._queue_sum,
-            "queue_max": self._queue_max,
-            "busy": self._busy,
-            "last_time": self._last_time,
-            "last_running": self._last_running,
-            "snapshots_emitted": self.snapshots_emitted,
-        }
+        return _scalar_state(self, self.__slots__)
 
     @classmethod
     def from_state(cls, state: Mapping) -> "WindowAggregator":
         windows = cls(float(state["width"]), servers=int(state["servers"]))
-        windows._index = int(state["index"])
-        windows._arrivals = int(state["arrivals"])
-        windows._completions = int(state["completions"])
-        windows._tardy = int(state["tardy"])
-        windows._tardiness = float(state["tardiness"])
-        windows._queue_samples = int(state["queue_samples"])
-        windows._queue_sum = int(state["queue_sum"])
-        windows._queue_max = int(state["queue_max"])
-        windows._busy = float(state["busy"])
-        windows._last_time = float(state["last_time"])
-        windows._last_running = int(state["last_running"])
-        windows.snapshots_emitted = int(state["snapshots_emitted"])
+        _restore_scalars(windows, state, cls.__slots__)
         return windows
 
 
@@ -776,13 +766,8 @@ class RunTelemetry:
     (:meth:`as_dict` compares equal, key for key).
     """
 
-    __slots__ = (
-        "quantile_accuracy",
-        "tardiness",
-        "response",
-        "tardiness_moments",
-        "response_moments",
-        "culprits",
+    #: The plain counters and sums, checkpointed as they stand.
+    _SCALARS = (
         "arrivals",
         "completed",
         "tardy",
@@ -796,6 +781,14 @@ class RunTelemetry:
         "weighted_max",
         "makespan",
     )
+    __slots__ = (
+        "quantile_accuracy",
+        "tardiness",
+        "response",
+        "tardiness_moments",
+        "response_moments",
+        "culprits",
+    ) + _SCALARS
 
     def __init__(
         self, quantile_accuracy: float = 0.01, topk: int = 16
@@ -926,18 +919,7 @@ class RunTelemetry:
             "tardiness_moments": self.tardiness_moments.to_state(),
             "response_moments": self.response_moments.to_state(),
             "culprits": self.culprits.to_state(),
-            "arrivals": self.arrivals,
-            "completed": self.completed,
-            "tardy": self.tardy,
-            "aborted": self.aborted,
-            "shed": self.shed,
-            "retries": self.retries,
-            "preemptions": self.preemptions,
-            "tardiness_total": self.tardiness_total,
-            "response_total": self.response_total,
-            "weighted_total": self.weighted_total,
-            "weighted_max": self.weighted_max,
-            "makespan": self.makespan,
+            **_scalar_state(self, self._SCALARS),
         }
 
     @classmethod
@@ -955,18 +937,7 @@ class RunTelemetry:
             state["response_moments"]
         )
         telemetry.culprits = TopK.from_state(state["culprits"])
-        telemetry.arrivals = int(state["arrivals"])
-        telemetry.completed = int(state["completed"])
-        telemetry.tardy = int(state["tardy"])
-        telemetry.aborted = int(state["aborted"])
-        telemetry.shed = int(state["shed"])
-        telemetry.retries = int(state["retries"])
-        telemetry.preemptions = int(state["preemptions"])
-        telemetry.tardiness_total = float(state["tardiness_total"])
-        telemetry.response_total = float(state["response_total"])
-        telemetry.weighted_total = float(state["weighted_total"])
-        telemetry.weighted_max = float(state["weighted_max"])
-        telemetry.makespan = float(state["makespan"])
+        _restore_scalars(telemetry, state, cls._SCALARS)
         return telemetry
 
     def __repr__(self) -> str:
@@ -1007,6 +978,13 @@ class StreamingRecorder(Instrument):
         Capacity of the tardiness-culprit summary.
     """
 
+    #: The run's scalar accumulators, checkpointed as they stand.
+    _SCALARS = (
+        "_policy", "_n", "_servers", "_started", "_finished", "_end_time",
+        "_sched_points", "_select_total", "_select_max", "_dispatches",
+        "_overhead_paid", "_max_ready", "_ready_sum", "_crashes", "_stalls",
+    )
+
     def __init__(
         self,
         quantile_accuracy: float = 0.01,
@@ -1018,12 +996,14 @@ class StreamingRecorder(Instrument):
         self.telemetry = RunTelemetry(quantile_accuracy, topk=topk)
         self._window_width = window
         self._windows: WindowAggregator | None = None
-        self._sink = sink
         self._sampler = None
-        if sample != 1.0 or sink is not None:
-            from repro.obs.jsonl import EventSampler
+        if sample != 1.0:
+            from repro.obs.jsonl import EventSampler, SampledSink
 
-            self._sampler = EventSampler(sample) if sample != 1.0 else None
+            self._sampler = EventSampler(sample)
+            if sink is not None:
+                sink = SampledSink(sink, self._sampler)
+        self._sink = sink
         self._policy = "?"
         self._n = 0
         self._servers = 1
@@ -1039,62 +1019,13 @@ class StreamingRecorder(Instrument):
         self._ready_sum = 0
         self._crashes = 0
         self._stalls = 0
-        if sink is None and window is None:
-            # Pure-aggregate mode (the metric_spread / parallel-telemetry
-            # path): the hot callbacks never branch on a sink or window,
-            # so bind lean variants that skip those checks entirely and
-            # keep the streaming overhead within the perf-gate budget.
-            self.on_arrival = self._on_arrival_lean  # type: ignore[method-assign]
-            self.on_dispatch = self._on_dispatch_lean  # type: ignore[method-assign]
-            self.on_completion = self._on_completion_lean  # type: ignore[method-assign]
-            self.on_scheduling_point = self._on_scheduling_point_lean  # type: ignore[method-assign]
-
-    # ------------------------------------------------------------------
-    # Plumbing.
-    # ------------------------------------------------------------------
-    def _on_arrival_lean(self, txn: "Transaction", now: float) -> None:
-        self.telemetry.arrivals += 1
-
-    def _on_dispatch_lean(
-        self, txn: "Transaction", now: float, overhead: float
-    ) -> None:
-        self._dispatches += 1
-
-    def _on_completion_lean(self, txn: "Transaction", now: float) -> None:
-        tardiness = now - txn.deadline
-        if tardiness < 0.0:
-            tardiness = 0.0
-        self.telemetry.observe_completion(
-            txn.txn_id, tardiness, now - txn.arrival, txn.weight
-        )
-
-    def _on_scheduling_point_lean(
-        self, now: float, ready: int, running: int, select_seconds: float
-    ) -> None:
-        self._sched_points += 1
-        self._select_total += select_seconds
-        if select_seconds > self._select_max:
-            self._select_max = select_seconds
-        self._ready_sum += ready
-        if ready > self._max_ready:
-            self._max_ready = ready
-    def _emit(self, record: dict) -> None:
-        if self._sink is None:
-            return
-        if self._sampler is not None:
-            filtered = self._sampler.filter(record)
-            if filtered is None:
-                return
-            record = filtered
-        self._sink.write(record)
 
     def _tick(self, now: float) -> None:
-        if self._windows is not None:
-            for snapshot in self._windows.advance(now):
-                # Window snapshots bypass sampling: they are the
-                # aggregate record sampling must never thin.
-                if self._sink is not None:
-                    self._sink.write(snapshot)
+        # Window snapshots are aggregates: the sampler always keeps them.
+        assert self._windows is not None
+        for snapshot in self._windows.advance(now):
+            if self._sink is not None:
+                self._sink.write(snapshot)
 
     # ------------------------------------------------------------------
     # Instrument callbacks.
@@ -1120,46 +1051,46 @@ class StreamingRecorder(Instrument):
             header = run_start_record(
                 jsonl.SCHEMA_VERSION, policy_name, n_transactions, servers
             )
-            if self._sampler is not None:
-                header["sample"] = self._sampler.rate
             if self._window_width is not None:
                 header["window"] = self._window_width
             self._sink.write(header)
 
     def on_arrival(self, txn: "Transaction", now: float) -> None:
-        self._tick(now)
-        self.telemetry.arrivals += 1
         if self._windows is not None:
+            self._tick(now)
             self._windows.observe_arrival()
+        self.telemetry.arrivals += 1
         if self._sink is not None:
             from repro.obs.recorder import arrival_record
 
-            self._emit(arrival_record(txn, now))
+            self._sink.write(arrival_record(txn, now))
 
     def on_dispatch(self, txn: "Transaction", now: float, overhead: float) -> None:
-        self._tick(now)
+        if self._windows is not None:
+            self._tick(now)
         self._dispatches += 1
         if self._sink is not None:
             from repro.obs.recorder import dispatch_record
 
-            self._emit(dispatch_record(txn, now, overhead))
+            self._sink.write(dispatch_record(txn, now, overhead))
 
     def on_preempt(self, txn: "Transaction", now: float) -> None:
         self.telemetry.preemptions += 1
         if self._sink is not None:
             from repro.obs.recorder import preempt_record
 
-            self._emit(preempt_record(txn, now))
+            self._sink.write(preempt_record(txn, now))
 
     def on_overhead(self, txn: "Transaction", amount: float, now: float) -> None:
         self._overhead_paid += amount
         if self._sink is not None:
             from repro.obs.recorder import overhead_record
 
-            self._emit(overhead_record(txn, amount, now))
+            self._sink.write(overhead_record(txn, amount, now))
 
     def on_completion(self, txn: "Transaction", now: float) -> None:
-        self._tick(now)
+        if self._windows is not None:
+            self._tick(now)
         tardiness = now - txn.deadline
         if tardiness < 0.0:
             tardiness = 0.0
@@ -1171,14 +1102,14 @@ class StreamingRecorder(Instrument):
         if self._sink is not None:
             from repro.obs.recorder import completion_record
 
-            self._emit(completion_record(txn, now, tardiness))
+            self._sink.write(completion_record(txn, now, tardiness))
 
     def on_stall(self, txn: "Transaction", amount: float, now: float) -> None:
         self._stalls += 1
         if self._sink is not None:
             from repro.obs.recorder import stall_record
 
-            self._emit(stall_record(txn, amount, now))
+            self._sink.write(stall_record(txn, amount, now))
 
     def on_abort(
         self,
@@ -1188,13 +1119,14 @@ class StreamingRecorder(Instrument):
         attempt: int,
         exhausted: bool,
     ) -> None:
-        self._tick(now)
+        if self._windows is not None:
+            self._tick(now)
         if exhausted:
             self.telemetry.aborted += 1
         if self._sink is not None:
             from repro.obs.recorder import abort_record
 
-            self._emit(abort_record(txn, now, lost, attempt, exhausted))
+            self._sink.write(abort_record(txn, now, lost, attempt, exhausted))
 
     def on_retry(
         self, txn: "Transaction", now: float, attempt: int, deadline: float
@@ -1203,33 +1135,33 @@ class StreamingRecorder(Instrument):
         if self._sink is not None:
             from repro.obs.recorder import retry_record
 
-            self._emit(retry_record(txn, now, attempt, deadline))
+            self._sink.write(retry_record(txn, now, attempt, deadline))
 
     def on_crash(self, now: float, down: int) -> None:
         self._crashes += 1
         if self._sink is not None:
             from repro.obs.recorder import crash_record
 
-            self._emit(crash_record(now, down))
+            self._sink.write(crash_record(now, down))
 
     def on_recover(self, now: float, down: int) -> None:
         if self._sink is not None:
             from repro.obs.recorder import recover_record
 
-            self._emit(recover_record(now, down))
+            self._sink.write(recover_record(now, down))
 
     def on_shed(self, txn: "Transaction", now: float, reason: str) -> None:
-        self._tick(now)
+        if self._windows is not None:
+            self._tick(now)
         self.telemetry.shed += 1
         if self._sink is not None:
             from repro.obs.recorder import shed_record
 
-            self._emit(shed_record(txn, now, reason))
+            self._sink.write(shed_record(txn, now, reason))
 
     def on_scheduling_point(
         self, now: float, ready: int, running: int, select_seconds: float
     ) -> None:
-        self._tick(now)
         self._sched_points += 1
         self._select_total += select_seconds
         if select_seconds > self._select_max:
@@ -1238,21 +1170,21 @@ class StreamingRecorder(Instrument):
         if ready > self._max_ready:
             self._max_ready = ready
         if self._windows is not None:
+            self._tick(now)
             self._windows.observe_point(now, ready, running)
         if self._sink is not None:
             from repro.obs.recorder import sched_record
 
-            self._emit(sched_record(now, ready, running, select_seconds))
+            self._sink.write(sched_record(now, ready, running, select_seconds))
 
     def on_run_end(self, now: float) -> None:
         self._finished = True
         self._end_time = now
         self.telemetry.makespan = now
-        if self._windows is not None and self._sink is not None:
+        if self._windows is not None:
             for snapshot in self._windows.finish(now):
-                self._sink.write(snapshot)
-        elif self._windows is not None:
-            self._windows.finish(now)
+                if self._sink is not None:
+                    self._sink.write(snapshot)
         if self._sink is not None:
             from repro.obs.recorder import run_end_record
 
@@ -1333,21 +1265,7 @@ class StreamingRecorder(Instrument):
             "sched_seen": (
                 self._sampler._sched_seen if self._sampler is not None else 0
             ),
-            "policy": self._policy,
-            "n": self._n,
-            "servers": self._servers,
-            "started": self._started,
-            "finished": self._finished,
-            "end_time": self._end_time,
-            "sched_points": self._sched_points,
-            "select_total": self._select_total,
-            "select_max": self._select_max,
-            "dispatches": self._dispatches,
-            "overhead_paid": self._overhead_paid,
-            "max_ready": self._max_ready,
-            "ready_sum": self._ready_sum,
-            "crashes": self._crashes,
-            "stalls": self._stalls,
+            **_scalar_state(self, self._SCALARS),
         }
 
     @classmethod
@@ -1356,10 +1274,9 @@ class StreamingRecorder(Instrument):
     ) -> "StreamingRecorder":
         """Rebuild a mid-run recorder; ``sink`` is the resumed writer.
 
-        Construction goes through ``__init__`` so the lean-callback
-        rebinding (sinkless + windowless mode) is re-derived from the
-        restored configuration, then every accumulator is overwritten
-        with the checkpointed values.
+        Construction goes through ``__init__`` so the sampling sink is
+        rebuilt from the restored configuration, then every accumulator
+        is overwritten with the checkpointed values.
         """
         telemetry_state = state["telemetry"]
         recorder = cls(
@@ -1379,21 +1296,7 @@ class StreamingRecorder(Instrument):
             self._windows = WindowAggregator.from_state(state["windows"])
         if self._sampler is not None:
             self._sampler._sched_seen = int(state["sched_seen"])
-        self._policy = str(state["policy"])
-        self._n = int(state["n"])
-        self._servers = int(state["servers"])
-        self._started = bool(state["started"])
-        self._finished = bool(state["finished"])
-        self._end_time = float(state["end_time"])
-        self._sched_points = int(state["sched_points"])
-        self._select_total = float(state["select_total"])
-        self._select_max = float(state["select_max"])
-        self._dispatches = int(state["dispatches"])
-        self._overhead_paid = float(state["overhead_paid"])
-        self._max_ready = int(state["max_ready"])
-        self._ready_sum = int(state["ready_sum"])
-        self._crashes = int(state["crashes"])
-        self._stalls = int(state["stalls"])
+        _restore_scalars(self, state, self._SCALARS)
 
     def __iter__(self) -> Iterator[None]:  # pragma: no cover - guard
         raise ObservabilityError(

@@ -10,6 +10,7 @@ from repro.obs.jsonl import (
     KEEP_ALWAYS_KINDS,
     EventSampler,
     JsonlWriter,
+    SampledSink,
     read_tolerant,
 )
 from repro.workload.generator import generate
@@ -88,6 +89,31 @@ def sampled_log(tmp_path_factory):
     with JsonlWriter(path) as sink:
         run_policy_streaming(workload, policy, sink=sink, sample=0.25)
     return path, exact
+
+
+class _Log(list):
+    write = list.append
+
+
+class TestSampledSink:
+    def test_header_gains_the_rate_ahead_of_the_window(self):
+        log = _Log()
+        sink = SampledSink(log, EventSampler(0.25))
+        sink.write({"kind": "run_start", "t": 0.0, "window": 5.0})
+        assert list(log[0]) == ["kind", "t", "sample", "window"]
+        assert log[0]["sample"] == 0.25
+
+    def test_other_records_pass_through_the_sampler(self):
+        log = _Log()
+        sink = SampledSink(log, EventSampler(0.25))
+        reference = EventSampler(0.25)
+        records = [
+            {"kind": "sched", "t": float(i), "ready": 1, "running": 1}
+            for i in range(8)
+        ] + [{"kind": "arrival", "t": 9.0, "txn": i} for i in range(64)]
+        for record in records:
+            sink.write(record)
+        assert log == [r for r in map(reference.filter, records) if r is not None]
 
 
 class TestAnalyzeOverSampledLogs:

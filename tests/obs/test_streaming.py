@@ -303,16 +303,3 @@ class TestStreamingRecorder:
     def test_report_requires_a_run(self):
         with pytest.raises(ObservabilityError):
             StreamingRecorder().report()
-
-    def test_lean_rebinding_only_without_sink_or_window(self):
-        lean = StreamingRecorder()
-        assert "on_completion" in vars(lean)
-        windowed = StreamingRecorder(window=10.0)
-        assert "on_completion" not in vars(windowed)
-
-        class Sink:
-            def write(self, record):
-                pass
-
-        sinked = StreamingRecorder(sink=Sink())
-        assert "on_completion" not in vars(sinked)
