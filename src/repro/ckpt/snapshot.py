@@ -69,7 +69,10 @@ CKPT_MAGIC = b"REPROCKPT\n"
 #: ``Recorder`` is a ``StreamingRecorder`` whose state carries its event
 #: list; version 3 pickled it whole), and ``RunTelemetry`` state carries
 #: exact running tardiness/response-time sums.
-CKPT_VERSION = 4
+#: Version 5: ``ASETS`` and ``Ready`` are ``ASETSStar`` over a singleton
+#: view (serials, placements, workflow heaps); a version-4 snapshot holds
+#: their old transaction heaps, which today's select path cannot read.
+CKPT_VERSION = 5
 
 #: Keys every checkpoint header must carry.
 _HEADER_FIELDS = frozenset(

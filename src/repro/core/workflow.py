@@ -128,7 +128,6 @@ class Workflow:
         "rep_deadline",
         "rep_scheduling_remaining",
         "rep_weight",
-        "rep_true_remaining",
         "head_txn",
     )
 
@@ -159,15 +158,14 @@ class Workflow:
         # Plain-slot aggregate mirror of the representative view, valid
         # after _refresh() while has_pending is True.  The incremental
         # ASETS* hot path reads these directly — no snapshot allocation
-        # per touched workflow per scheduling point.  rep_true_remaining
-        # is the engine-truth minimum, swept lazily at view build (see
-        # representative()); policies must keep ranking by
-        # rep_scheduling_remaining (the believed value, RL008).
+        # per touched workflow per scheduling point.  The engine-truth
+        # minimum is swept lazily at view build (see representative());
+        # policies must keep ranking by rep_scheduling_remaining (the
+        # believed value, RL008).
         self.has_pending = False
         self.rep_deadline = _INF
         self.rep_scheduling_remaining = _INF
         self.rep_weight = -_INF
-        self.rep_true_remaining = _INF
         self.head_txn: Transaction | None = None
 
     def _topological_order(self) -> tuple[int, ...]:
@@ -391,7 +389,6 @@ class Workflow:
                 ):
                     if txn.remaining < r_min:
                         r_min = txn.remaining
-            self.rep_true_remaining = r_min
             rep = self._rep = RepresentativeView(
                 deadline=self.rep_deadline,
                 remaining=r_min,

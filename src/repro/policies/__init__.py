@@ -13,9 +13,10 @@ The paper's policies and the related-work baselines, all implementing the
 * :class:`~repro.policies.mix.MIX` — static value/deadline blend
   (related work, Buttazzo et al.).
 * :class:`~repro.policies.asets.ASETS` — the transaction-level hybrid of
-  EDF and SRPT/HDF (Section III-A).
+  EDF and SRPT/HDF (Section III-A): ASETS* over one singleton workflow
+  per transaction.
 * :class:`~repro.policies.ready.Ready` — the naive Wait-queue extension of
-  ASETS to dependent transactions (Section III-B).
+  ASETS to dependent transactions (Section III-B); ASETS by another name.
 * :class:`~repro.policies.asets_star.ASETSStar` — workflow-level, weighted
   ASETS* (Sections III-B and III-C).
 * :class:`~repro.policies.balance_aware.BalanceAware` — the aging wrapper

@@ -25,7 +25,9 @@ The winner is decided by weighted negative impact (Figure 7):
 
 With singleton workflows and unit weights this is exactly transaction-level
 ASETS; the policy therefore "decides at which level to operate" simply by
-the structure of the workload, as the paper advertises.
+the structure of the workload, as the paper advertises.  The registry's
+``asets`` and ``ready`` are this class over a per-transaction singleton
+view (:mod:`repro.policies.asets`).
 
 All quantities above are the *scheduler's* view: feasibility, density and
 slack are computed from ``scheduling_remaining`` (the believed remaining
@@ -164,11 +166,6 @@ class ASETSStar(Scheduler):
     # ------------------------------------------------------------------
     # Lifecycle hooks: mark the touched workflows dirty.
     # ------------------------------------------------------------------
-    def on_arrival(self, txn: Transaction, now: float) -> None:
-        if self._workflow_set is None:
-            raise SchedulingError("ASETS* requires a workflow set")
-        self._touch(txn, self._dirty)
-
     def _touch(self, txn: Transaction, dirty: dict[int, Workflow]) -> None:
         """Mark the transaction's workflows for re-keying at next select.
 
@@ -181,26 +178,23 @@ class ASETSStar(Scheduler):
         """
         workflow_set = self._workflow_set
         if workflow_set is None:
-            return
+            raise SchedulingError("ASETS* requires a workflow set")
         for wf in workflow_set.member_workflows(txn.txn_id):
             dirty[wf.wf_id] = wf
 
     def on_ready(self, txn: Transaction, now: float) -> None:
         self._touch(txn, self._dirty)
 
+    # Arrival, completion and fault (abort, retry scheduling and shed;
+    # an abort's rollback resets the belief) all change membership or
+    # representative values: the same strong touch.
+    on_arrival = on_completion = on_fault = on_ready
+
     def on_requeue(self, txn: Transaction, now: float) -> None:
         # Weak touch: the believed remaining time was charged while the
         # transaction ran, but workflow membership and deadlines are
         # untouched — see the drain for what little this requires.
         self._touch(txn, self._dirty_weak)
-
-    def on_completion(self, txn: Transaction, now: float) -> None:
-        self._touch(txn, self._dirty)
-
-    def on_fault(self, txn: Transaction, now: float) -> None:
-        # Abort (rollback resets the belief), retry scheduling and shed
-        # all change representative values outside the normal lifecycle.
-        self._touch(txn, self._dirty)
 
     # ------------------------------------------------------------------
     # Selection.  The stages read the workflows' plain-slot aggregates
@@ -425,7 +419,9 @@ class ASETSStar(Scheduler):
         """
         head_edf = edf.head_txn
         head_hdf = hdf.head_txn
+        # ordering.negative_impact_edf
         ni_edf = head_edf.scheduling_remaining * hdf.rep_weight
-        slack_edf = edf.rep_deadline - now - edf.rep_scheduling_remaining
+        # ordering.negative_impact_srpt, on the slack d - (t + r)
+        slack_edf = edf.rep_deadline - (now + edf.rep_scheduling_remaining)
         ni_hdf = (head_hdf.scheduling_remaining - slack_edf) * edf.rep_weight
         return head_edf if ni_edf < ni_hdf else head_hdf

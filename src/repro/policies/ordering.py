@@ -7,7 +7,11 @@ The paper's two-list scheme hinges on one predicate and two orderings:
   :math:`t + r \\le d`, judged on the scheduler's believed remaining time;
 * the **EDF order** — feasible items sorted by deadline;
 * the **HDF order** — infeasible items sorted by density :math:`w / r`
-  (descending; equal weights reduce it to SRPT order).
+  (descending; equal weights reduce it to SRPT order);
+
+and one decision between the two list tops, the weighted *negative
+impact* comparison of Equation 1 / Figure 7
+(:func:`negative_impact_edf`, :func:`negative_impact_srpt`).
 
 Before this module existed each call site re-derived these expressions
 locally (the ASETS* rescan tested ``now + r <= d`` while the
@@ -15,11 +19,11 @@ introspection helpers asked ``is_past_deadline(now)``, and every density
 key divided by the believed remaining time unguarded).  Re-derivation is
 how orderings drift: a float-ulp difference in the membership test, or a
 division by a zero believed remaining, changes a decision in one place
-but not the other.  ASETS's density key and the reference rescan the
-test suite checks ASETS* against call the functions below; the
-incremental ASETS* heaps inline them on their hot path, each site marked
-with the function it transcribes, and the byte-identity suite against
-the rescan pins the two to the same decisions.  The balance-aware
+but not the other.  The reference rescans the test suite checks ASETS*
+against call the functions below; the incremental ASETS* heaps inline
+them on their hot path, each site marked with the function it
+transcribes, and the byte-identity suite against the rescans pins the
+two to the same decisions.  The balance-aware
 aging order (:func:`aging_key`) lives here too; the static-key
 baselines (EDF, SRPT, HDF, ...) define theirs as the ``key`` of their
 :class:`~repro.policies.base.HeapScheduler`.
@@ -51,6 +55,8 @@ __all__ = [
     "hdf_rank",
     "hdf_key",
     "latest_start",
+    "negative_impact_edf",
+    "negative_impact_srpt",
     "aging_key",
 ]
 
@@ -101,6 +107,20 @@ def latest_start(deadline: float, scheduling_remaining: float) -> float:
     membership itself is always re-judged by :func:`feasible_at`.
     """
     return deadline - scheduling_remaining
+
+
+def negative_impact_edf(r_edf: float, w_srpt: float = 1.0) -> float:
+    """Negative impact of running the EDF top first: it delays the HDF
+    top's completion by the EDF top's remaining time, scaled by the HDF
+    side's weight (Equation 1 / Figure 7, line 15)."""
+    return r_edf * w_srpt
+
+
+def negative_impact_srpt(r_srpt: float, s_edf: float, w_edf: float = 1.0) -> float:
+    """Negative impact of running the HDF top first: it pushes the EDF top
+    past its deadline by whatever exceeds the EDF top's slack, scaled by
+    the EDF side's weight (Equation 1 / Figure 7, line 16)."""
+    return (r_srpt - s_edf) * w_edf
 
 
 def aging_key(txn: "Transaction") -> float:

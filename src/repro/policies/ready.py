@@ -8,8 +8,11 @@ whatever valuable transactions hide in the Wait queue.
 In this package the simulator itself enforces precedence — a transaction
 reaches the policy only through ``on_ready`` once its dependency list has
 completed — so *Ready* is exactly transaction-level ASETS run on a
-dependent workload.  The class exists as an explicitly named policy so
-experiment configurations (Figure 14) read like the paper.
+dependent workload: ASETS* over one singleton workflow per transaction,
+each invalidated by its own transaction's hooks (a dependent's singleton
+becomes runnable at the ``on_ready`` that releases it).  The class exists
+as an explicitly named policy so experiment configurations (Figure 14)
+read like the paper.
 """
 
 from __future__ import annotations

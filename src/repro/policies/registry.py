@@ -15,8 +15,10 @@ Name                      Policy
 ``hdf``                   :class:`~repro.policies.hdf.HDF`
 ``hvf``                   :class:`~repro.policies.hvf.HVF`
 ``mix``                   :class:`~repro.policies.mix.MIX` (``tradeoff=``)
-``asets``                 :class:`~repro.policies.asets.ASETS` (``weighted=``)
-``ready``                 :class:`~repro.policies.ready.Ready`
+``asets``                 :class:`~repro.policies.asets.ASETS` (``weighted=``):
+                          ASETS* over per-transaction singletons
+``ready``                 :class:`~repro.policies.ready.Ready` (``weighted=``):
+                          ``asets`` on dependent pools
 ``asets-star``            :class:`~repro.policies.asets_star.ASETSStar`
 ``balance-aware``         :class:`~repro.policies.balance_aware.BalanceAware`
                           wrapping ASETS* (``time_rate=`` / ``count_rate=``)

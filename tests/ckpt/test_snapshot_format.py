@@ -195,6 +195,41 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="checkpoint version 3"):
             load_checkpoint(path)
 
+    def test_v4_asets_checkpoint_rejected_at_load(self, tmp_path):
+        # Format 4 pickled transaction-level ASETS with its own three
+        # transaction heaps (EDF, migration, SRPT); today's ASETS is
+        # ASETS* over singletons and would resume such a state with no
+        # workflow heaps at all.  The header version must stop it at
+        # load instead.
+        assert CKPT_VERSION > 4
+        workload = generate_workloads(
+            WorkloadSpec(n_transactions=80, utilization=0.9), [3]
+        )[0]
+        path = tmp_path / "asets.ckpt"
+        run_policy_on(
+            workload,
+            PolicySpec.of("asets"),
+            checkpoint_every=30,
+            checkpointer=Checkpointer(path, max_saves=1),
+        )
+        data = path.read_bytes()
+        end = data.index(b"\n", len(CKPT_MAGIC))
+        header = json.loads(data[len(CKPT_MAGIC) : end])
+        blob = pickle.loads(data[end + 1 :])
+        policy = blob["policy_state"]
+        for name in ("_serial", "_side", "_hdf", "_alarm", "_singleton_of"):
+            delattr(policy, name)
+        policy._edf, policy._migrate, policy._srpt = [], [], []
+        header["version"] = 4
+        path.write_bytes(
+            CKPT_MAGIC
+            + json.dumps(header, separators=(",", ":")).encode()
+            + b"\n"
+            + pickle.dumps(blob)
+        )
+        with pytest.raises(CheckpointError, match="checkpoint version 4"):
+            load_checkpoint(path)
+
     def test_instrument_without_state_cannot_checkpoint(self, tmp_path):
         workload = generate_workloads(
             WorkloadSpec(n_transactions=80, utilization=0.9), [3]

@@ -24,9 +24,9 @@ def test_src_repro_is_lint_clean():
 
 def test_known_intentional_suppressions_are_counted():
     # event_queue batch identity, NonPreemptive scheduling-point identity,
-    # the five ASETS heap deadline-snapshot identity checks (stale
-    # pre-retry entries are detected by exact copy comparison), and the
-    # ASETS* keep-in-place cached-heap-key identity check (a re-key is
-    # skipped only when the recomputed key is bitwise-identical).
+    # and the ASETS* keep-in-place cached-heap-key identity check (a
+    # re-key is skipped only when the recomputed key is
+    # bitwise-identical).  ASETS is ASETS* over singletons and has none
+    # of its own.
     result = lint([SRC])
-    assert result.suppressed == 8
+    assert result.suppressed == 3

@@ -1,19 +1,33 @@
-"""Unit tests for transaction-level ASETS: lists, migration, decision."""
+"""Unit tests for transaction-level ASETS: lists, migration, decision.
 
-import pytest
+List membership is read through the reference rescan's
+:func:`~tests.policies.asets_star_oracle.edf_list` /
+:func:`~tests.policies.asets_star_oracle.hdf_list` over the policy's
+singleton view: ASETS keeps no list of its own to introspect.
+"""
 
-from repro.policies.asets import (
-    ASETS,
-    negative_impact_edf,
-    negative_impact_srpt,
-)
+from repro.core.transaction import Transaction
+from repro.policies import make_policy
+from repro.policies.asets import ASETS
+from repro.policies.ordering import negative_impact_edf, negative_impact_srpt
+from repro.sim.engine import Simulator
 from tests.conftest import make_txn
+from tests.policies import asets_star_oracle as oracle
 
 
 def feed(policy, txns, now=0.0):
+    policy.bind(txns, None)
     for t in txns:
         t.mark_ready()
         policy.on_ready(t, now)
+
+
+def edf_list(policy, now):
+    return [wf.head() for wf in oracle.edf_list(policy, now)]
+
+
+def srpt_list(policy, now):
+    return [wf.head() for wf in oracle.hdf_list(policy, now)]
 
 
 class TestNegativeImpact:
@@ -34,15 +48,15 @@ class TestListMembership:
         policy = ASETS()
         t = make_txn(1, length=3.0, deadline=10.0)
         feed(policy, [t])
-        assert policy.edf_list(0.0) == [t]
-        assert policy.srpt_list(0.0) == []
+        assert edf_list(policy, 0.0) == [t]
+        assert srpt_list(policy, 0.0) == []
 
     def test_tardy_transaction_goes_to_srpt_list(self):
         policy = ASETS()
         t = make_txn(1, length=3.0, deadline=2.0, arrival=0.0)
         feed(policy, [t])
-        assert policy.edf_list(0.0) == []
-        assert policy.srpt_list(0.0) == [t]
+        assert edf_list(policy, 0.0) == []
+        assert srpt_list(policy, 0.0) == [t]
 
     def test_migration_when_latest_start_passes(self):
         # Definitions 6/7: a waiting transaction moves EDF -> SRPT when
@@ -50,9 +64,9 @@ class TestListMembership:
         policy = ASETS()
         t = make_txn(1, length=3.0, deadline=10.0)
         feed(policy, [t])
-        assert policy.edf_list(7.0) == [t]   # boundary: still feasible
-        assert policy.srpt_list(7.1) == [t]  # now migrated
-        assert policy.edf_list(7.1) == []
+        assert edf_list(policy, 7.0) == [t]   # boundary: still feasible
+        assert srpt_list(policy, 7.1) == [t]  # now migrated
+        assert edf_list(policy, 7.1) == []
 
     def test_lists_are_sorted(self):
         policy = ASETS()
@@ -61,8 +75,8 @@ class TestListMembership:
         c = make_txn(3, length=4.0, deadline=1.0)  # tardy
         d = make_txn(4, length=2.0, deadline=1.0)  # tardy, shorter
         feed(policy, [a, b, c, d])
-        assert policy.edf_list(0.0) == [b, a]
-        assert policy.srpt_list(0.0) == [d, c]
+        assert edf_list(policy, 0.0) == [b, a]
+        assert srpt_list(policy, 0.0) == [d, c]
 
 
 class TestDecision:
@@ -116,7 +130,7 @@ class TestWeightedVariant:
         heavy_long = make_txn(2, length=4.0, deadline=0.5, weight=8.0)
         feed(policy, [light_short, heavy_long])
         # Density 2.0 beats 0.5 even though it is longer.
-        assert policy.srpt_list(0.0) == [heavy_long, light_short]
+        assert srpt_list(policy, 0.0) == [heavy_long, light_short]
 
     def test_decision_scales_by_weights(self):
         policy = ASETS(weighted=True)
@@ -151,7 +165,7 @@ class TestStaleEntryHandling:
         b.mark_suspended()
         policy.on_requeue(b, 4.0)
         assert policy.select(4.0) is b
-        assert policy.srpt_list(4.0) == [b, a]
+        assert srpt_list(policy, 4.0) == [b, a]
 
     def test_migration_entry_staleness(self):
         # A transaction that ran keeps its EDF membership consistent: the
@@ -164,6 +178,31 @@ class TestStaleEntryHandling:
         t.charge(5.0)  # remaining 1 -> latest start now 9
         t.mark_suspended()
         policy.on_requeue(t, 5.0)
-        assert policy.edf_list(5.0) == [t]
-        assert policy.edf_list(8.9) == [t]
-        assert policy.srpt_list(9.5) == [t]
+        assert edf_list(policy, 5.0) == [t]
+        assert edf_list(policy, 8.9) == [t]
+        assert srpt_list(policy, 9.5) == [t]
+
+
+class TestSingletonView:
+    def test_unweighted_policy_reads_unit_weights(self):
+        # A weighted pool must not leak into unweighted ASETS: the heavy
+        # long transaction would win HDF order, but SRPT order runs the
+        # short one first.
+        policy = ASETS()
+        light_short = make_txn(1, length=2.0, deadline=0.5, weight=1.0)
+        heavy_long = make_txn(2, length=4.0, deadline=0.5, weight=8.0)
+        feed(policy, [light_short, heavy_long])
+        assert srpt_list(policy, 0.0) == [light_short, heavy_long]
+        assert policy.select(0.0) is light_short
+
+    def test_equal_deadlines_tie_by_arrival_not_id(self):
+        # Ids in reverse arrival order: txn 1 arrives first and runs;
+        # txn 0 arrives at 0.5 with the same deadline.  The tie goes to
+        # the earlier arrival (the transaction-level tie-break), so the
+        # incumbent finishes first.  Numbering singletons by id would
+        # preempt it for txn 0.
+        early = Transaction(1, arrival=0.0, length=1.0, deadline=10.0)
+        late = Transaction(0, arrival=0.5, length=1.0, deadline=10.0)
+        result = Simulator([early, late], make_policy("asets")).run()
+        finish = {r.txn_id: r.finish for r in result.records}
+        assert finish == {1: 1.0, 0: 2.0}

@@ -5,10 +5,11 @@ import pytest
 from repro.core.transaction import Transaction
 from repro.core.workflow_set import WorkflowSet
 from repro.errors import SchedulingError
-from repro.policies import ASETS, ASETSStar
+from repro.policies import ASETSStar
 from repro.sim.engine import Simulator
 from tests.conftest import chain, make_txn
 from tests.policies.asets_star_oracle import ScanASETSStar, edf_list, hdf_list
+from tests.properties.test_differential import NaiveASETS
 
 
 def bind_and_arrive(policy, txns, now=0.0):
@@ -83,7 +84,7 @@ class TestSelection:
         bind_and_arrive(star, txns)
         assert star.select(0.0) is a_head
 
-        ready = ASETS()
+        ready = NaiveASETS()
         for t in txns:
             t.reset()
             if t.is_independent:
@@ -127,14 +128,12 @@ class TestSelection:
 
 class TestEquivalenceWithTransactionLevel:
     def test_singleton_workflows_reduce_to_asets(self):
-        # On independent transactions ASETS* must schedule exactly like
-        # weighted transaction-level ASETS: same finish time for every
-        # transaction on a replayed workload.
+        # On independent unit-weight transactions ASETS* must schedule
+        # exactly like transaction-level ASETS (the rescan oracle): same
+        # finish time for every transaction on a replayed workload.
         from repro.workload import WorkloadSpec, generate
 
-        spec = WorkloadSpec(
-            n_transactions=60, utilization=0.9, weighted=True
-        )
+        spec = WorkloadSpec(n_transactions=60, utilization=0.9)
         workload = generate(spec, seed=3)
         workload.reset()
         star = Simulator(
@@ -143,7 +142,7 @@ class TestEquivalenceWithTransactionLevel:
             workflow_set=WorkflowSet.singletons(workload.transactions),
         ).run()
         workload.reset()
-        flat = Simulator(workload.transactions, ASETS(weighted=True)).run()
+        flat = Simulator(workload.transactions, NaiveASETS()).run()
         for r_star, r_flat in zip(star.records, flat.records):
             assert r_star.finish == pytest.approx(r_flat.finish)
 
@@ -221,3 +220,29 @@ class TestIntrospectionCaching:
         listed = edf_list(policy, 0.0)
         assert len(listed) == 3
         assert calls == {0: 1, 1: 1, 2: 1}
+
+
+class TestSlackExpression:
+    def test_edf_slack_rounds_like_the_oracle(self):
+        # The EDF top's slack is d - (t + r), as Transaction.slack and the
+        # oracle compute it.  d - t - r rounds differently: at the third
+        # completion, t = 0.1 + 0.1 + 0.1, with d = 0.4 and r = 0.1 it is
+        # a negative ulp instead of zero.  That broke the negative-impact
+        # tie (ties go to the HDF side) and ran txn 0 ahead of the tardy
+        # backlog.
+        pool = [Transaction(0, arrival=0.3, length=0.1, deadline=0.4)] + [
+            Transaction(i, arrival=0.0, length=0.1, deadline=0.1)
+            for i in range(1, 10)
+        ]
+
+        def finishes(policy):
+            for txn in pool:
+                txn.reset()
+            result = Simulator(
+                pool, policy, workflow_set=WorkflowSet.singletons(pool)
+            ).run()
+            return [(r.txn_id, r.finish) for r in result.records]
+
+        incremental = finishes(ASETSStar())
+        assert incremental == finishes(ScanASETSStar())
+        assert dict(incremental)[0] == pytest.approx(0.5)

@@ -1,10 +1,11 @@
 """Differential testing: optimised policies vs naive reference oracles.
 
-The production policies use lazy heaps with stale-entry dropping and a
-migration heap (ASETS).  Each has a brutally simple reference
-implementation here — rescan everything at every scheduling point — and
-hypothesis checks that the two produce *identical schedules* on random
-workloads.  Any divergence is a bug in the clever data structures.
+The production policies use lazy heaps with stale-entry dropping and,
+for ASETS (ASETS* over singletons), a migration alarm heap.  Each has a
+brutally simple reference implementation here — rescan everything at
+every scheduling point — and hypothesis checks that the two produce
+*identical schedules* on random workloads.  Any divergence is a bug in
+the clever data structures.
 """
 
 import hypothesis.strategies as st
@@ -12,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.transaction import Transaction, TransactionState
-from repro.policies import ASETS, EDF, HDF, SRPT, LeastSlack
-from repro.policies.asets import negative_impact_edf, negative_impact_srpt
+from repro.policies import EDF, HDF, SRPT, LeastSlack, make_policy
 from repro.policies.base import ScanScheduler
+from repro.policies.ordering import negative_impact_edf, negative_impact_srpt
 from repro.sim.engine import Simulator
 from tests.properties.test_engine_properties import transaction_pools
 
@@ -128,4 +129,4 @@ def test_hdf_matches_naive_rescan_weighted(txns):
 @given(txns=transaction_pools(max_size=10))
 @settings(max_examples=40, deadline=None)
 def test_asets_matches_naive_rescan(txns):
-    assert schedules_match(txns, ASETS(), NaiveASETS())
+    assert schedules_match(txns, make_policy("asets"), NaiveASETS())
