@@ -14,9 +14,9 @@ persistence layers that make that possible:
   and an equal :class:`~repro.sim.results.SimulationResult` to an
   uninterrupted run.
 * :mod:`repro.ckpt.sweep` — an append-only per-cell completion manifest
-  for :func:`repro.experiments.parallel.grid_sweep`: completed
+  for :func:`repro.experiments.runner.grid_sweep`: completed
   ``(column, seed, policy)`` cells are skipped on restart and the merged
-  series stays byte-identical to a fresh sequential run.
+  series stays byte-identical to a fresh run.
 
 Determinism is the design constraint throughout: saving a checkpoint
 never mutates run state, resume restores raw accumulator fields (never

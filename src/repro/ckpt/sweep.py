@@ -30,7 +30,7 @@ from repro.errors import CheckpointError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.config import PolicySpec
-    from repro.experiments.parallel import SweepColumn
+    from repro.experiments.runner import SweepColumn
     from repro.faults import FaultSpec
 
 __all__ = ["SweepManifest", "grid_fingerprint"]

@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_JOBS,
         metavar="N",
         help="worker processes for the sweeps (default "
-        f"{DEFAULT_JOBS} = sequential; 0 = one per core); results are "
+        f"{DEFAULT_JOBS} = in this process; 0 = one per core); results are "
         "byte-identical at any N",
     )
     parser.add_argument(
@@ -436,26 +436,18 @@ def _parse_faults(
 
 
 def _sweep_kwargs(args: argparse.Namespace, failures: list) -> dict:
-    """Shared sweep kwargs: parallel fan-out, watchdog and resume.
+    """Shared sweep kwargs: fan-out, watchdog, resume and failure capture.
 
-    jobs == 1 with no timeout or manifest keeps the sequential path
-    (failures=None → fail fast); anything else opts into per-cell
-    failure capture so one bad cell cannot kill a long sweep.
-    ``--resume`` forces the grid path: its manifest is what survives an
-    interrupt.
+    Every sweep target collects failed cells into ``failures`` so one bad
+    cell is reported by :func:`_report_failures` instead of escaping as a
+    traceback or killing a long sweep.
     """
-    if (
-        args.jobs == 1
-        and args.cell_timeout is None
-        and args.resume is None
-    ):
-        return {}
-    kwargs: dict = {"jobs": args.jobs, "failures": failures}
-    if args.cell_timeout is not None:
-        kwargs["cell_timeout"] = args.cell_timeout
-    if args.resume is not None:
-        kwargs["resume"] = args.resume
-    return kwargs
+    return {
+        "jobs": args.jobs,
+        "failures": failures,
+        "cell_timeout": args.cell_timeout,
+        "resume": args.resume,
+    }
 
 
 def _run_figure(name: str, args: argparse.Namespace) -> int:

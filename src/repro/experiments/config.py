@@ -32,8 +32,8 @@ __all__ = [
 #: Five runs per setting, as in Section IV-A.
 DEFAULT_SEEDS: tuple[int, ...] = (11, 23, 37, 41, 53)
 
-#: Default worker count for the sweeps: 1 = the sequential in-process
-#: path.  ``--jobs 0`` on the CLI means "one worker per core"
+#: Default worker count for the sweeps: 1 = in this process, no pool.
+#: ``--jobs 0`` on the CLI means "one worker per core"
 #: (:func:`repro.experiments.parallel.resolve_jobs`).
 DEFAULT_JOBS: int = 1
 

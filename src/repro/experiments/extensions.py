@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.experiments.config import ExperimentConfig, PolicySpec
-from repro.experiments.runner import generate_workloads, mean_metric
+from repro.experiments.runner import SweepColumn, generate_workloads, grid_sweep
 from repro.metrics.aggregates import MetricSeries, mean
 from repro.metrics.distributions import gini, tardiness, tardiness_percentile
 from repro.sim.engine import Simulator
@@ -72,52 +72,29 @@ def estimation_robustness(
     run on the corrupted estimates.  True lengths, deadlines and offered
     load are identical across error levels (paired comparison).
     """
-    specs = [
-        WorkloadSpec(
-            n_transactions=config.n_transactions,
-            utilization=utilization,
-            length_estimate_error=error,
+    columns = [
+        SweepColumn(
+            x=error,
+            spec=WorkloadSpec(
+                n_transactions=config.n_transactions,
+                utilization=utilization,
+                length_estimate_error=error,
+            ),
         )
         for error in errors
     ]
-    if (
-        jobs != 1
-        or failures is not None
-        or cell_timeout is not None
-        or resume is not None
-    ):
-        from repro.experiments.parallel import SweepColumn, grid_sweep
-
-        return grid_sweep(
-            [SweepColumn(x=e, spec=s) for e, s in zip(errors, specs)],
-            _LENGTH_AWARE_POLICIES,
-            "average_tardiness",
-            config.seeds,
-            x_label="max relative estimation error",
-            jobs=jobs,
-            progress=progress,
-            failures=failures,
-            cell_timeout=cell_timeout,
-            resume=resume,
-        )
-    series = MetricSeries(
+    return grid_sweep(
+        columns,
+        _LENGTH_AWARE_POLICIES,
+        "average_tardiness",
+        config.seeds,
         x_label="max relative estimation error",
-        x=list(errors),
-        metric="average_tardiness",
+        jobs=jobs,
+        progress=progress,
+        failures=failures,
+        cell_timeout=cell_timeout,
+        resume=resume,
     )
-    values: dict[str, list[float]] = {
-        p.display: [] for p in _LENGTH_AWARE_POLICIES
-    }
-    for error, spec in zip(errors, specs):
-        workloads = generate_workloads(spec, config.seeds)
-        for policy in _LENGTH_AWARE_POLICIES:
-            value = mean_metric(workloads, policy, "average_tardiness")
-            values[policy.display].append(value)
-            if progress is not None:
-                progress(f"error={error:<5} {policy.display:<6} {value:.3f}")
-    for policy in _LENGTH_AWARE_POLICIES:
-        series.add(policy.display, values[policy.display])
-    return series
 
 
 def multiserver_sweep(
@@ -131,65 +108,29 @@ def multiserver_sweep(
     resume: str | None = None,
 ) -> MetricSeries:
     """Average tardiness vs. server count at constant per-server load."""
-    if (
-        jobs != 1
-        or failures is not None
-        or cell_timeout is not None
-        or resume is not None
-    ):
-        from repro.experiments.parallel import SweepColumn, grid_sweep
-
-        columns = [
-            SweepColumn(
-                x=float(m),
-                spec=WorkloadSpec(
-                    n_transactions=config.n_transactions,
-                    utilization=per_server_utilization * m,
-                ),
-                servers=m,
-            )
-            for m in server_counts
-        ]
-        return grid_sweep(
-            columns,
-            _LENGTH_AWARE_POLICIES,
-            "average_tardiness",
-            config.seeds,
-            x_label="servers",
-            jobs=jobs,
-            progress=progress,
-            failures=failures,
-            cell_timeout=cell_timeout,
-            resume=resume,
+    columns = [
+        SweepColumn(
+            x=float(m),
+            spec=WorkloadSpec(
+                n_transactions=config.n_transactions,
+                utilization=per_server_utilization * m,
+            ),
+            servers=m,
         )
-    series = MetricSeries(
+        for m in server_counts
+    ]
+    return grid_sweep(
+        columns,
+        _LENGTH_AWARE_POLICIES,
+        "average_tardiness",
+        config.seeds,
         x_label="servers",
-        x=[float(m) for m in server_counts],
-        metric="average_tardiness",
+        jobs=jobs,
+        progress=progress,
+        failures=failures,
+        cell_timeout=cell_timeout,
+        resume=resume,
     )
-    values: dict[str, list[float]] = {
-        p.display: [] for p in _LENGTH_AWARE_POLICIES
-    }
-    for m in server_counts:
-        spec = WorkloadSpec(
-            n_transactions=config.n_transactions,
-            utilization=per_server_utilization * m,
-        )
-        workloads = generate_workloads(spec, config.seeds)
-        for policy in _LENGTH_AWARE_POLICIES:
-            runs = []
-            for w in workloads:
-                w.reset()
-                runs.append(
-                    Simulator(w.transactions, policy.make(), servers=m).run()
-                )
-            value = mean(r.average_tardiness for r in runs)
-            values[policy.display].append(value)
-            if progress is not None:
-                progress(f"servers={m} {policy.display:<6} {value:.3f}")
-    for policy in _LENGTH_AWARE_POLICIES:
-        series.add(policy.display, values[policy.display])
-    return series
 
 
 def tail_analysis(

@@ -39,11 +39,7 @@ from repro.experiments.config import (
     ExperimentConfig,
     PolicySpec,
 )
-from repro.experiments.runner import (
-    generate_workloads,
-    mean_metric,
-    utilization_sweep,
-)
+from repro.experiments.runner import SweepColumn, grid_sweep, utilization_sweep
 from repro.metrics.aggregates import MetricSeries
 from repro.workload.spec import WorkloadSpec
 
@@ -328,9 +324,11 @@ def balance_aware_sweep(
     The shared machinery behind Figures 16-17 (and their count-based
     twins): at a fixed utilization, sweep the activation rate and compare
     ``metric`` of balance-aware ASETS* with the flat ASETS* reference.
+    The grid is one utilization column whose policies are the reference
+    followed by one balance-aware policy per rate, so every workload is
+    generated once; its seed means are then laid out over the rates.
     ``resume`` persists completed cells to a
-    :class:`~repro.ckpt.sweep.SweepManifest` and skips them on restart
-    (forces the grouped path).
+    :class:`~repro.ckpt.sweep.SweepManifest` and skips them on restart.
     """
     if rate_kind not in ("time", "count"):
         raise ValueError(f"rate_kind must be 'time' or 'count', got {rate_kind!r}")
@@ -339,111 +337,34 @@ def balance_aware_sweep(
         utilization=utilization,
         n_transactions=config.n_transactions,
     )
-    baseline_spec = PolicySpec.of("asets-star", "ASETS*")
-
-    def rate_policy(rate: float) -> PolicySpec:
-        kwargs = {"time_rate": rate} if rate_kind == "time" else {"count_rate": rate}
-        return PolicySpec.of("balance-aware", "ASETS* (balance-aware)", **kwargs)
-
+    policies = [PolicySpec.of("asets-star", "ASETS*")] + [
+        PolicySpec.of(
+            "balance-aware",
+            "ASETS* (balance-aware)",
+            **{f"{rate_kind}_rate": rate},
+        )
+        for rate in rates
+    ]
+    grid = grid_sweep(
+        [SweepColumn(x=utilization, spec=spec)],
+        policies,
+        metric,
+        config.seeds,
+        x_label="utilization",
+        jobs=jobs,
+        progress=progress,
+        failures=failures,
+        cell_timeout=cell_timeout,
+        resume=resume,
+    )
+    baseline, *balanced = (values[0] for values in grid.series.values())
     series = MetricSeries(
         x_label=f"{rate_kind}-based activation rate",
         x=list(rates),
         metric=metric,
     )
-
-    if (
-        jobs == 1
-        and failures is None
-        and cell_timeout is None
-        and resume is None
-    ):
-        workloads = generate_workloads(spec, config.seeds)
-        baseline = mean_metric(workloads, baseline_spec, metric)
-        balanced_values = []
-        for rate in rates:
-            value = mean_metric(workloads, rate_policy(rate), metric)
-            balanced_values.append(value)
-            if progress is not None:
-                progress(f"rate={rate:<6} balance-aware {metric}={value:.3f}")
-        series.add("ASETS*", [baseline] * len(series.x))
-        series.add("ASETS* (balance-aware)", balanced_values)
-        return series
-
-    # Parallel path: one group per seed, carrying the baseline plus one
-    # balanced policy per rate, so every workload is generated once and
-    # replayed len(rates) + 1 times — the same work as the sequential
-    # path, fanned out over seeds.
-    from repro.errors import SweepError
-    from repro.experiments.parallel import CellGroup, run_cell_groups
-    from repro.metrics.aggregates import mean as _mean
-
-    policy_tuple = (baseline_spec,) + tuple(rate_policy(rate) for rate in rates)
-    manifest = None
-    preloaded: dict[tuple[int, int, int], float] = {}
-    if resume is not None:
-        from repro.ckpt.sweep import SweepManifest, grid_fingerprint
-        from repro.experiments.parallel import SweepColumn
-
-        manifest = SweepManifest.open(
-            resume,
-            grid_fingerprint(
-                [SweepColumn(x=utilization, spec=spec)],
-                policy_tuple,
-                metric,
-                config.seeds,
-                None,
-            ),
-        )
-        preloaded = dict(manifest.completed)
-    groups = []
-    for seed in config.seeds:
-        positions = tuple(
-            pos
-            for pos in range(len(policy_tuple))
-            if (0, seed, pos) not in preloaded
-        )
-        if not positions:
-            continue
-        groups.append(
-            CellGroup(
-                index=0,
-                x=utilization,
-                seed=seed,
-                spec=spec,
-                policies=tuple(policy_tuple[pos] for pos in positions),
-                metric=metric,
-                policy_positions=(
-                    positions if len(positions) != len(policy_tuple) else None
-                ),
-            )
-        )
-    try:
-        results, cell_failures = run_cell_groups(
-            groups, jobs, progress, timeout=cell_timeout, manifest=manifest
-        )
-    finally:
-        if manifest is not None:
-            manifest.close()
-    if preloaded:
-        results = {**preloaded, **results}
-    if cell_failures:
-        if failures is None:
-            raise SweepError(cell_failures)
-        failures.extend(cell_failures)
-
-    def seed_mean(pos: int) -> float:
-        values = [
-            results[(0, seed, pos)]
-            for seed in config.seeds
-            if (0, seed, pos) in results
-        ]
-        return _mean(values) if values else float("nan")
-
-    series.add("ASETS*", [seed_mean(0)] * len(series.x))
-    series.add(
-        "ASETS* (balance-aware)",
-        [seed_mean(1 + i) for i in range(len(rates))],
-    )
+    series.add("ASETS*", [baseline] * len(rates))
+    series.add("ASETS* (balance-aware)", balanced)
     return series
 
 

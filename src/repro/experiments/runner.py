@@ -5,14 +5,28 @@ plus one policy.  The runner generates a workload per seed, replays it
 (resetting between policies so every policy sees the *same* arrival
 trace, as in the authors' simulator), extracts a metric from each run and
 averages over seeds.
+
+Every sweep of the evaluation is one shape — a (column × seed × policy)
+grid whose seeds are averaged — and runs through :func:`grid_sweep`;
+every cell of it runs through :func:`run_policy_on`, in this process or
+in a :mod:`repro.experiments.parallel` worker.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+import math
+import pathlib
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
+from repro.errors import CheckpointError, SweepError
 from repro.experiments.config import ExperimentConfig, PolicySpec
+from repro.experiments.parallel import (
+    CellFailure,
+    GroupResult,
+    run_cell_groups,
+    runs_in_process,
+)
 from repro.faults import FaultSpec, plan_faults
 from repro.metrics.aggregates import MetricSeries, confidence_interval, mean
 from repro.sim.engine import Simulator
@@ -22,20 +36,26 @@ from repro.workload.spec import WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ckpt.snapshot import Checkpointer
-    from repro.experiments.parallel import CellFailure
     from repro.obs.hooks import Instrument
     from repro.obs.jsonl import EventSink
-    from repro.obs.profile import PhaseProfiler
-    from repro.obs.streaming import StreamingRecorder
+    from repro.obs.profile import PhaseProfiler, ProfileSnapshot
+    from repro.obs.streaming import RunTelemetry, StreamingRecorder
 
 __all__ = [
+    "CellGroup",
+    "SweepColumn",
+    "TelemetrySpec",
     "run_policy_on",
     "run_policy_streaming",
     "mean_metric",
     "metric_spread",
+    "grid_sweep",
     "utilization_sweep",
     "generate_workloads",
 ]
+
+#: Type of the optional per-line progress callback shared by the sweeps.
+ProgressFn = Callable[[str], None]
 
 
 def generate_workloads(spec: WorkloadSpec, seeds: Iterable[int]) -> list[Workload]:
@@ -47,6 +67,7 @@ def _replay(
     workload: Workload,
     policy_spec: PolicySpec,
     faults: FaultSpec | None,
+    servers: int = 1,
     **options: object,
 ) -> SimulationResult:
     """The one run core: reset, plan faults, simulate.
@@ -56,11 +77,12 @@ def _replay(
     workload.reset()
     plan = None
     if faults is not None and not faults.is_null:
-        plan = plan_faults(faults, workload.transactions)
+        plan = plan_faults(faults, workload.transactions, servers=servers)
     return Simulator(
         workload.transactions,
         policy_spec.make(),
         workflow_set=workload.workflow_set,
+        servers=servers,
         faults=plan,
         **options,
     ).run()
@@ -74,6 +96,8 @@ def run_policy_on(
     profiler: "PhaseProfiler | None" = None,
     checkpoint_every: int | None = None,
     checkpointer: "Checkpointer | None" = None,
+    servers: int = 1,
+    retain_records: bool = True,
 ) -> SimulationResult:
     """Replay ``workload`` under a fresh instance of ``policy_spec``.
 
@@ -88,16 +112,22 @@ def run_policy_on(
     attribution (observation-only; results are byte-identical with or
     without it).  ``checkpoint_every`` + ``checkpointer`` make the run
     crash-resilient (:mod:`repro.ckpt`); checkpointing is likewise
-    observation-only.
+    observation-only.  ``servers`` runs the workload on that many
+    parallel servers (the fault plan is drawn for the same count);
+    ``retain_records=False`` keeps no per-transaction records, and the
+    result answers its aggregates from a
+    :class:`~repro.sim.results.StreamSummary`.
     """
     return _replay(
         workload,
         policy_spec,
         faults,
+        servers,
         instrument=instrument,
         profiler=profiler,
         checkpoint_every=checkpoint_every,
         checkpointer=checkpointer,
+        retain_records=retain_records,
     )
 
 
@@ -189,15 +219,320 @@ def metric_spread(
     return mean(values), low, high
 
 
+class SweepColumn(NamedTuple):
+    """One x-axis position of a grid sweep: its spec and server count."""
+
+    x: float
+    spec: WorkloadSpec
+    servers: int = 1
+
+
+class TelemetrySpec(NamedTuple):
+    """Per-cell streaming-telemetry request, shipped with every group.
+
+    Every cell then runs with per-txn retention off and a
+    :class:`~repro.obs.streaming.StreamingRecorder`, whose
+    :class:`~repro.obs.streaming.RunTelemetry` rides home in the
+    :class:`~repro.experiments.parallel.GroupResult`.
+    """
+
+    quantile_accuracy: float = 0.01
+    window: float | None = None
+    topk: int = 16
+
+
+class CellGroup(NamedTuple):
+    """Pending cells of one sweep column, run as one unit of work.
+
+    ``cells`` lists ``(policy position, seed)`` pairs, policy-major;
+    with the ``column`` index each addresses one grid cell,
+    independent of where and when it runs.  ``policies`` is the grid's
+    whole policy list.  ``fault_spec`` is expanded into a plan per cell
+    (specs are small and picklable); ``telemetry`` and ``profile`` ask
+    every cell for its streaming telemetry and its
+    :class:`~repro.obs.profile.ProfileSnapshot`.
+    """
+
+    column: int
+    x: float
+    spec: WorkloadSpec
+    policies: tuple[PolicySpec, ...]
+    cells: tuple[tuple[int, int], ...]
+    metric: str
+    servers: int = 1
+    fault_spec: FaultSpec | None = None
+    telemetry: TelemetrySpec | None = None
+    profile: bool = False
+
+
+def _traceback() -> str:
+    """The handled exception's traceback.
+
+    ``traceback`` is imported only when a cell fails, so a clean sweep's
+    start-up never pays for it.
+    """
+    from traceback import format_exc
+
+    return format_exc()
+
+
+def _run_cell(
+    group: CellGroup, workload: Workload, policy: PolicySpec
+) -> "tuple[float, RunTelemetry | None, ProfileSnapshot | None]":
+    """One cell: its metric value, telemetry and profile as asked."""
+    recorder = profiler = None
+    if group.telemetry is not None:
+        from repro.obs.streaming import StreamingRecorder
+
+        recorder = StreamingRecorder(
+            quantile_accuracy=group.telemetry.quantile_accuracy,
+            window=group.telemetry.window,
+            topk=group.telemetry.topk,
+        )
+    if group.profile:
+        from repro.obs.profile import PhaseProfiler
+
+        profiler = PhaseProfiler()
+    result = run_policy_on(
+        workload,
+        policy,
+        instrument=recorder,
+        faults=group.fault_spec,
+        profiler=profiler,
+        servers=group.servers,
+        retain_records=recorder is None,
+    )
+    return (
+        float(getattr(result, group.metric)),
+        recorder.telemetry if recorder is not None else None,
+        profiler.snapshot(policy.display) if profiler is not None else None,
+    )
+
+
+def _run_group(group: CellGroup) -> GroupResult:
+    """The cell function: generate each seed's workload once, then run
+    every cell through :func:`run_policy_on` in ``group.cells`` order.
+
+    A raising cell — or a failing generation, which fails every cell of
+    its seed — becomes a :class:`~repro.experiments.parallel.CellFailure`.
+    Module-level (and :class:`CellGroup` picklable) so a process pool
+    can ship it.
+    """
+    workloads: dict[int, Workload] = {}
+    broken: dict[int, tuple[str, str]] = {}
+    for seed in dict.fromkeys(seed for _, seed in group.cells):
+        try:
+            workloads[seed] = generate(group.spec, seed)
+        except Exception as exc:  # noqa: BLE001 - reported per cell
+            broken[seed] = (repr(exc), _traceback())
+    outcomes: list[tuple] = []
+    for pos, seed in group.cells:
+        policy = group.policies[pos]
+        error = broken.get(seed)
+        if error is None:
+            try:
+                value, telemetry, profile = _run_cell(
+                    group, workloads[seed], policy
+                )
+            except Exception as exc:  # noqa: BLE001 - reported per cell
+                error = (repr(exc), _traceback())
+        if error is None:
+            outcomes.append((value, None, telemetry, profile))
+        else:
+            failure = CellFailure(group.x, seed, policy.display, *error)
+            outcomes.append((None, failure, None, None))
+    # (values, failures, telemetry, profiles), one entry per cell
+    return GroupResult(group, *zip(*outcomes))
+
+
+def grid_sweep(
+    columns: Sequence[SweepColumn],
+    policies: Sequence[PolicySpec],
+    metric: str,
+    seeds: Iterable[int],
+    *,
+    x_label: str,
+    jobs: int = 1,
+    progress: ProgressFn | None = None,
+    failures: list[CellFailure] | None = None,
+    fault_spec: FaultSpec | None = None,
+    cell_timeout: float | None = None,
+    telemetry: TelemetrySpec | None = None,
+    telemetry_out: "dict[str, RunTelemetry] | None" = None,
+    profile: bool = False,
+    profile_out: "dict[str, ProfileSnapshot] | None" = None,
+    resume: str | pathlib.Path | None = None,
+) -> MetricSeries:
+    """Run a (column × seed × policy) grid and merge it deterministically.
+
+    The returned series carries, per policy, the per-column metric
+    averaged over seeds *in seed order*, independent of ``jobs``.  A
+    policy whose display name repeats an earlier one is keyed
+    ``"{display} #{position}"`` so no column is lost.  Cells listed in
+    ``failures`` are excluded from their seed average; a column whose
+    every seed failed reports ``nan``.  When ``failures`` is ``None``
+    any cell failure raises :class:`~repro.errors.SweepError` (after the
+    whole grid has run).  ``fault_spec`` injects the same fault plan per
+    (column, seed) workload under every policy; ``cell_timeout`` arms the
+    no-progress watchdog of
+    :func:`~repro.experiments.parallel.run_cell_groups`.  ``progress``
+    receives one line per finished (column, policy) with its seed mean.
+
+    ``jobs`` is the worker count (``<= 0``: one per core).  With one
+    worker and no watchdog the grid runs in this process, one group per
+    column, policy by policy; otherwise it fans out over a process pool,
+    one group per (column, seed).  Either way each (column, seed)
+    workload is generated once per group and replayed per policy.
+
+    ``telemetry`` opts every cell into constant-memory streaming
+    telemetry; ``telemetry_out`` (a dict the caller owns) then receives,
+    per policy display name, the cells' telemetry merged **in grid order**
+    — column index first, then seed order, independent of completion
+    order.  Together with the associative sketch merge this makes the
+    merged telemetry byte-identical (``as_dict()``-equal) for any
+    ``jobs`` count.
+
+    ``profile=True`` runs every cell under a fresh
+    :class:`~repro.obs.profile.PhaseProfiler`; ``profile_out`` then
+    receives, per policy display name, the cells'
+    :class:`~repro.obs.profile.ProfileSnapshot` merged in the same
+    fixed grid order.  Counts and structure are deterministic for any
+    ``jobs`` count (wall-clock totals naturally vary run to run).
+
+    ``resume`` makes the sweep restartable: every completed cell is
+    appended (atomically per line, flushed immediately) to a
+    :class:`~repro.ckpt.sweep.SweepManifest` at that path, and on
+    restart cells already listed — under the same grid fingerprint —
+    are skipped and their persisted values merged back in.  JSON floats
+    round-trip exactly, so the resumed series is byte-identical to a
+    fresh run.  Resume cannot be combined with ``telemetry`` or
+    ``profile`` (their per-cell state is not persisted in the manifest).
+    """
+    seed_list = list(seeds)
+    policy_list = tuple(policies)
+    manifest = None
+    if resume is not None:
+        if telemetry is not None or profile:
+            raise CheckpointError(
+                "sweep resume cannot be combined with telemetry or "
+                "profile collection: their per-cell state is not "
+                "persisted in the manifest"
+            )
+        from repro.ckpt.sweep import SweepManifest, grid_fingerprint
+
+        manifest = SweepManifest.open(
+            resume,
+            grid_fingerprint(columns, policy_list, metric, seed_list, fault_spec),
+        )
+    done = manifest.completed if manifest is not None else {}
+    batches = (
+        [seed_list]
+        if runs_in_process(jobs, cell_timeout)
+        else [[seed] for seed in seed_list]
+    )
+    groups = []
+    for i, column in enumerate(columns):
+        for batch in batches:
+            cells = tuple(
+                (pos, seed)
+                for pos in range(len(policy_list))
+                for seed in batch
+                if (i, seed, pos) not in done
+            )
+            if cells:
+                groups.append(
+                    CellGroup(
+                        i, column.x, column.spec, policy_list, cells, metric,
+                        column.servers, fault_spec, telemetry, profile,
+                    )
+                )
+
+    def seed_mean(results: dict, i: int, pos: int) -> float:
+        values = [
+            results[(i, seed, pos)]
+            for seed in seed_list
+            if (i, seed, pos) in results
+        ]
+        return mean(values) if values else math.nan
+
+    def finished(i: int, pos: int, results: dict) -> None:
+        assert progress is not None
+        policy = policy_list[pos]
+        options = "".join(f" {key}={value}" for key, value in policy.kwargs)
+        progress(
+            f"x={columns[i].x:g} {policy.display}{options} "
+            f"{metric}={seed_mean(results, i, pos):.3f}"
+        )
+
+    cell_telemetry: "dict[tuple[int, int, int], RunTelemetry]" = {}
+    cell_profiles: "dict[tuple[int, int, int], ProfileSnapshot]" = {}
+    try:
+        results, cell_failures = run_cell_groups(
+            _run_group,
+            groups,
+            jobs,
+            finished if progress is not None else None,
+            timeout=cell_timeout,
+            telemetry_out=cell_telemetry,
+            profile_out=cell_profiles,
+            manifest=manifest,
+        )
+    finally:
+        if manifest is not None:
+            manifest.close()
+    if cell_failures:
+        if failures is None:
+            raise SweepError(cell_failures)
+        failures.extend(cell_failures)
+
+    def merge_cells(cells: dict, out: dict, empty: Callable) -> None:
+        # Fixed grid order — the determinism lever for the float parts
+        # of a telemetry merge; sketches are order-free.
+        for pos, policy in enumerate(policy_list):
+            merged = out[policy.display] = empty(policy)
+            for i in range(len(columns)):
+                for seed in seed_list:
+                    if (i, seed, pos) in cells:
+                        merged.merge(cells[(i, seed, pos)])
+
+    if telemetry is not None and telemetry_out is not None:
+        from repro.obs.streaming import RunTelemetry
+
+        accuracy, topk = telemetry.quantile_accuracy, telemetry.topk
+        merge_cells(
+            cell_telemetry,
+            telemetry_out,
+            lambda _: RunTelemetry(accuracy, topk=topk),
+        )
+    if profile and profile_out is not None:
+        from repro.obs.profile import ProfileSnapshot
+
+        merge_cells(
+            cell_profiles,
+            profile_out,
+            lambda policy: ProfileSnapshot(policy=policy.display),
+        )
+
+    series = MetricSeries(
+        x_label=x_label, x=[column.x for column in columns], metric=metric
+    )
+    for pos, policy in enumerate(policy_list):
+        name = policy.display
+        if name in series.series:
+            name = f"{name} #{pos}"
+        series.add(name, [seed_mean(results, i, pos) for i in range(len(columns))])
+    return series
+
+
 def utilization_sweep(
     base_spec: WorkloadSpec,
     policies: Sequence[PolicySpec],
     metric: str,
     config: ExperimentConfig,
     utilizations: Sequence[float] | None = None,
-    progress: Callable[[str], None] | None = None,
+    progress: ProgressFn | None = None,
     jobs: int = 1,
-    failures: "list[CellFailure] | None" = None,
+    failures: list[CellFailure] | None = None,
     fault_spec: FaultSpec | None = None,
     cell_timeout: float | None = None,
     resume: str | None = None,
@@ -220,59 +555,30 @@ def utilization_sweep(
     utilizations:
         Overrides ``config.utilizations`` (Figures 8/9 use half grids).
     progress:
-        Optional callable receiving one human-readable line per setting.
+        Optional callable receiving one human-readable line per finished
+        (utilization, policy) setting, with its seed mean.
     jobs:
-        Worker processes; ``1`` (the default) runs the sweep inline,
-        ``> 1`` fans the (utilization × seed × policy) grid out through
-        :mod:`repro.experiments.parallel`.  Results are byte-identical
-        either way.
+        Worker processes; ``1`` (the default) runs the grid in this
+        process, ``> 1`` fans it out over a process pool (see
+        :func:`grid_sweep`).  Results are byte-identical either way.
     failures:
-        Opt-in cell-failure capture for the parallel harness: pass a
-        list to collect :class:`~repro.experiments.parallel.CellFailure`
-        entries instead of raising
-        :class:`~repro.errors.SweepError`.
+        Opt-in cell-failure capture: pass a list to collect
+        :class:`~repro.experiments.parallel.CellFailure` entries instead
+        of raising :class:`~repro.errors.SweepError`.
     fault_spec:
         Optional :class:`~repro.faults.FaultSpec`; the same seeded fault
         schedule is injected per (utilization, seed) workload so the
         policies compete under identical adversity.
     cell_timeout:
-        Wall-clock seconds of the no-progress watchdog; forces the pool
-        path (a hung inline cell could never be interrupted).
+        Wall-clock seconds of the no-progress watchdog; runs the grid in
+        the process pool even with ``jobs=1`` (a hung in-process cell
+        could never be interrupted).
     resume:
         Path of a :class:`~repro.ckpt.sweep.SweepManifest`: completed
         cells are persisted as the sweep goes and skipped on restart
-        (forces the grid path; the merged series stays byte-identical
-        to a fresh ``jobs=1`` run).
+        (the merged series stays byte-identical to a fresh run).
     """
-    xs = list(utilizations if utilizations is not None else config.utilizations)
-    if (
-        jobs == 1
-        and failures is None
-        and cell_timeout is None
-        and resume is None
-    ):
-        series = MetricSeries(x_label="utilization", x=xs, metric=metric)
-        values: dict[str, list[float]] = {p.display: [] for p in policies}
-        for util in xs:
-            spec = dataclasses.replace(
-                base_spec,
-                utilization=util,
-                n_transactions=config.n_transactions,
-            )
-            workloads = generate_workloads(spec, config.seeds)
-            for policy in policies:
-                value = mean_metric(workloads, policy, metric, faults=fault_spec)
-                values[policy.display].append(value)
-                if progress is not None:
-                    progress(
-                        f"U={util:<4} {policy.display:<10} {metric}={value:.3f}"
-                    )
-        for policy in policies:
-            series.add(policy.display, values[policy.display])
-        return series
-
-    from repro.experiments.parallel import SweepColumn, grid_sweep
-
+    xs = utilizations if utilizations is not None else config.utilizations
     columns = [
         SweepColumn(
             x=util,

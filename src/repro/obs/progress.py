@@ -20,8 +20,8 @@ with one attached is event-for-event identical to a run without.
 
 :class:`SweepHeartbeat`
     A rate-limited progress callback for the sweep harness: counts
-    finished cell groups and prints at most one line per interval,
-    however chatty the sweep is.
+    finished (column, policy) settings and prints at most one line per
+    interval, however chatty the sweep is.
 """
 
 from __future__ import annotations
@@ -129,7 +129,8 @@ class SweepHeartbeat:
     """Rate-limited sweep progress: at most one line per interval.
 
     Usable anywhere the sweep harness accepts a ``progress`` callable.
-    Every call counts one finished cell group; a line is printed only
+    Every call counts one progress line — one finished (column, policy)
+    setting with its seed mean; a line is printed only
     when ``interval`` wall-clock seconds have passed since the last one
     (plus a final line at 100% when ``total`` is known).
     """
@@ -161,7 +162,7 @@ class SweepHeartbeat:
         elapsed = max(wall - self._started_at, 1e-9)
         of_total = f"/{self.total}" if self.total is not None else ""
         self._out.write(
-            f"[hb] {self._seen}{of_total} groups "
+            f"[hb] {self._seen}{of_total} settings "
             f"({self._seen / elapsed:.2f}/s) last: {line}\n"
         )
         self._out.flush()

@@ -7,8 +7,7 @@ import pytest
 from repro.ckpt.sweep import SweepManifest, grid_fingerprint
 from repro.errors import CheckpointError
 from repro.experiments.config import ExperimentConfig, PolicySpec
-from repro.experiments.parallel import SweepColumn, grid_sweep
-from repro.experiments.runner import utilization_sweep
+from repro.experiments.runner import SweepColumn, grid_sweep, utilization_sweep
 from repro.workload.spec import WorkloadSpec
 
 POLICIES = (PolicySpec.of("edf", "EDF"), PolicySpec.of("asets", "ASETS"))
@@ -181,12 +180,12 @@ class TestGridSweepResume:
             resume=str(manifest_path),
         )
         # a second resume must not execute a single cell
-        from repro.experiments import parallel
+        from repro.experiments import runner
 
         def explode(*args, **kwargs):
             raise AssertionError("a completed sweep reran a cell")
 
-        monkeypatch.setattr(parallel, "_run_group", explode)
+        monkeypatch.setattr(runner, "_run_group", explode)
         resumed = utilization_sweep(
             BASE, POLICIES, "average_tardiness", CONFIG,
             resume=str(manifest_path),
@@ -194,7 +193,7 @@ class TestGridSweepResume:
         assert resumed.series == fresh.series
 
     def test_resume_rejects_telemetry(self, tmp_path):
-        from repro.experiments.parallel import TelemetrySpec
+        from repro.experiments.runner import TelemetrySpec
 
         with pytest.raises(CheckpointError, match="telemetry"):
             grid_sweep(

@@ -135,3 +135,21 @@ class TestChaosTarget:
             == 0
         )
         assert "Chaos sweep" in capsys.readouterr().out
+
+    def test_failing_cell_is_reported_not_raised(self, monkeypatch, capsys):
+        # The default --jobs 1 captures a raising cell like the pool
+        # does: the sweep finishes, the report goes to stderr, exit 1.
+        from repro.policies.edf import EDF
+
+        def broken_select(self, *args, **kwargs):
+            raise RuntimeError("select exploded")
+
+        monkeypatch.setattr(EDF, "select", broken_select)
+        assert main(["chaos", "--n", "30", "--seeds", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "Chaos sweep" in captured.out
+        assert "10 sweep cell(s) failed" in captured.err
+        assert "x=0.1 seed=11 policy=EDF: RuntimeError('select exploded')" in (
+            captured.err
+        )
+        assert "Traceback" in captured.err

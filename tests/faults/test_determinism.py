@@ -23,6 +23,7 @@ from repro.faults import FaultSpec, plan_faults
 from repro.obs import Recorder
 from repro.workload.generator import generate
 from repro.workload.spec import WorkloadSpec
+from tests.parallel.sweep_oracle import oracle_sweep
 from tests.policies.asets_star_oracle import SCAN
 
 GOLDEN = pathlib.Path(__file__).parent / "golden_seed_run.jsonl"
@@ -103,17 +104,16 @@ class TestFaultDeterminism:
     def test_sweep_identical_across_jobs(self):
         config = ExperimentConfig().scaled(40, 2)
         policies = (PolicySpec.of("edf", "EDF"), PolicySpec.of("asets", "ASETS"))
-        kwargs = dict(
-            utilizations=(0.5, 0.9),
-            fault_spec=FAULTS,
+        reference, _ = oracle_sweep(
+            SPEC, policies, "average_tardiness", 40, config.seeds, (0.5, 0.9),
+            faults=FAULTS,
         )
-        sequential = utilization_sweep(
-            SPEC, policies, "average_tardiness", config, **kwargs
-        )
-        pooled = utilization_sweep(
-            SPEC, policies, "average_tardiness", config, jobs=2, **kwargs
-        )
-        assert repr(sequential.series) == repr(pooled.series)
+        for jobs in (1, 2):
+            series = utilization_sweep(
+                SPEC, policies, "average_tardiness", config, jobs=jobs,
+                utilizations=(0.5, 0.9), fault_spec=FAULTS,
+            )
+            assert repr(series.as_rows()) == repr(reference)
 
 
 class TestSelectImplementationIdentity:

@@ -1,10 +1,11 @@
-"""Property: the parallel sweep is byte-identical to the sequential one.
+"""Property: every sweep executor reproduces an independent reference.
 
-``utilization_sweep(jobs=N)`` must produce exactly the rows of
-``jobs=1`` — same floats, bit for bit — for any utilization grid, seed
-set and policy mix, including a policy whose every cell raises.  Rows
-are compared through ``repr`` because a fully-failed policy column is
-``nan`` and ``nan != nan``.
+``utilization_sweep`` must produce exactly the rows of
+:func:`~tests.parallel.sweep_oracle.oracle_sweep` — same floats, bit for
+bit — in-process (``jobs=1``) and through the pool (``jobs=N``), for any
+utilization grid, seed set and policy mix, including a policy whose
+every cell raises.  Rows are compared through ``repr`` because a
+fully-failed policy column is ``nan`` and ``nan != nan``.
 """
 
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from repro.experiments.config import ExperimentConfig, PolicySpec
 from repro.experiments.runner import utilization_sweep
 from repro.workload.spec import WorkloadSpec
+from tests.parallel.sweep_oracle import oracle_sweep
 
 SPEC = WorkloadSpec(zipf_alpha=0.5, k_max=3.0)
 
@@ -63,48 +65,43 @@ def sweep_cases(draw):
 def test_parallel_rows_equal_sequential_rows(case):
     utils, policies, n_seeds, jobs = case
     config = ExperimentConfig().scaled(30, n_seeds)
-    seq_failures, par_failures = [], []
-    seq = utilization_sweep(
-        SPEC,
-        policies,
-        "average_tardiness",
-        config,
-        utilizations=utils,
-        failures=seq_failures,
+    rows, failed = oracle_sweep(
+        SPEC, policies, "average_tardiness", 30, config.seeds, utils
     )
-    par = utilization_sweep(
-        SPEC,
-        policies,
-        "average_tardiness",
-        config,
-        utilizations=utils,
-        jobs=jobs,
-        failures=par_failures,
-    )
-    assert rows_repr(par) == rows_repr(seq)
-    assert [(f.x, f.seed, f.policy) for f in par_failures] == [
-        (f.x, f.seed, f.policy) for f in seq_failures
-    ]
+    for n_jobs in (1, jobs):
+        failures = []
+        series = utilization_sweep(
+            SPEC,
+            policies,
+            "average_tardiness",
+            config,
+            utilizations=utils,
+            jobs=n_jobs,
+            failures=failures,
+        )
+        assert rows_repr(series) == repr(rows)
+        assert [(f.x, f.seed, f.policy) for f in failures] == failed
 
 
 def test_parallel_matches_the_legacy_sequential_path():
-    # jobs=1 with no failure capture is the untouched pre-existing loop;
-    # the fan-out path must reproduce it exactly, not just reproduce
-    # itself.
+    # The oracle is the pre-existing in-process loop, kept outside the
+    # package: both executors must reproduce it exactly, not just each
+    # other.
     config = ExperimentConfig().scaled(60, 2)
     policies = (PolicySpec.of("edf", "EDF"), PolicySpec.of("asets", "ASETS"))
-    legacy = utilization_sweep(
-        SPEC, policies, "average_tardiness", config, utilizations=(0.3, 0.9)
+    legacy, _ = oracle_sweep(
+        SPEC, policies, "average_tardiness", 60, config.seeds, (0.3, 0.9)
     )
-    pooled = utilization_sweep(
-        SPEC,
-        policies,
-        "average_tardiness",
-        config,
-        utilizations=(0.3, 0.9),
-        jobs=4,
-    )
-    assert rows_repr(pooled) == rows_repr(legacy)
+    for jobs in (1, 4):
+        series = utilization_sweep(
+            SPEC,
+            policies,
+            "average_tardiness",
+            config,
+            utilizations=(0.3, 0.9),
+            jobs=jobs,
+        )
+        assert rows_repr(series) == repr(legacy)
 
 
 def test_raising_policy_leaves_other_columns_exact():

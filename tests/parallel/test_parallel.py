@@ -1,19 +1,19 @@
-"""Unit tests for the process-pool sweep harness (repro.experiments.parallel)."""
+"""Unit tests for the sweep executor (repro.experiments.parallel), the
+cell function and grid_sweep (repro.experiments.runner)."""
 
 import math
 
 import pytest
 
 from repro.errors import SweepError
+from repro.experiments import runner
 from repro.experiments.config import PolicySpec
-from repro.experiments import parallel
-from repro.experiments.parallel import (
+from repro.experiments.parallel import resolve_jobs, run_cell_groups
+from repro.experiments.runner import (
     CellGroup,
     SweepColumn,
     _run_group,
     grid_sweep,
-    resolve_jobs,
-    run_cell_groups,
 )
 from repro.workload.spec import WorkloadSpec
 
@@ -26,11 +26,11 @@ BOOM = PolicySpec.of("edf", "BOOM", bogus_kwarg=1)
 
 def group(index=0, seed=11, policies=POLICIES, spec=SPEC):
     return CellGroup(
-        index=index,
+        column=index,
         x=0.8,
-        seed=seed,
         spec=spec,
         policies=tuple(policies),
+        cells=tuple((pos, seed) for pos in range(len(policies))),
         metric="average_tardiness",
     )
 
@@ -65,17 +65,34 @@ class TestRunGroup:
         def explode(spec, seed):
             raise RuntimeError("generator down")
 
-        monkeypatch.setattr(parallel, "generate", explode)
+        monkeypatch.setattr(runner, "generate", explode)
         result = _run_group(group())
         assert result.values == (None, None)
         assert all(f is not None for f in result.failures)
         assert all("generator down" in f.traceback for f in result.failures)
 
+    def test_generation_failure_fails_only_its_seed(self, monkeypatch):
+        real_generate = runner.generate
+
+        def explode_on_23(spec, seed):
+            if seed == 23:
+                raise RuntimeError("generator down")
+            return real_generate(spec, seed)
+
+        monkeypatch.setattr(runner, "generate", explode_on_23)
+        cells = ((0, 11), (0, 23))
+        result = _run_group(
+            CellGroup(0, 0.8, SPEC, POLICIES, cells, "average_tardiness")
+        )
+        assert result.values[0] is not None and result.failures[0] is None
+        assert result.values[1] is None
+        assert result.failures[1].seed == 23
+
 
 class TestRunCellGroups:
     def test_results_keyed_by_grid_coordinates(self):
         groups = [group(index=i, seed=s) for i in (0, 1) for s in (11, 23)]
-        results, failures = run_cell_groups(groups, jobs=1)
+        results, failures = run_cell_groups(_run_group, groups, jobs=1)
         assert failures == []
         assert set(results) == {
             (i, s, p) for i in (0, 1) for s in (11, 23) for p in (0, 1)
@@ -83,8 +100,8 @@ class TestRunCellGroups:
 
     def test_pool_matches_inline_exactly(self):
         groups = [group(index=i, seed=s) for i in (0, 1) for s in (11, 23)]
-        inline, _ = run_cell_groups(groups, jobs=1)
-        pooled, _ = run_cell_groups(groups, jobs=3)
+        inline, _ = run_cell_groups(_run_group, groups, jobs=1)
+        pooled, _ = run_cell_groups(_run_group, groups, jobs=3)
         assert repr(sorted(inline.items())) == repr(sorted(pooled.items()))
 
     def test_failures_sorted_by_coordinates(self):
@@ -93,19 +110,30 @@ class TestRunCellGroups:
             for i in (1, 0)
             for s in (23, 11)
         ]
-        _, failures = run_cell_groups(groups, jobs=2)
+        _, failures = run_cell_groups(_run_group, groups, jobs=2)
         assert [(f.x, f.seed) for f in failures] == sorted(
             (f.x, f.seed) for f in failures
         )
 
-    def test_progress_called_once_per_group(self):
+    def test_finished_called_once_per_column_policy(self):
         groups = [group(index=i, seed=s) for i in (0, 1) for s in (11, 23)]
-        seq_lines, par_lines = [], []
-        run_cell_groups(groups, jobs=1, progress=seq_lines.append)
-        run_cell_groups(groups, jobs=2, progress=par_lines.append)
-        assert len(seq_lines) == len(groups)
-        # Completion order may differ under the pool; the line *set* not.
-        assert sorted(par_lines) == sorted(seq_lines)
+        seq_calls, par_calls = [], []
+
+        def recorder(calls):
+            def finished(index, pos, results):
+                # every seed of the pair has landed by now
+                seeds = sorted(s for i, s, p in results if (i, p) == (index, pos))
+                calls.append((index, pos, seeds))
+
+            return finished
+
+        run_cell_groups(_run_group, groups, jobs=1, finished=recorder(seq_calls))
+        run_cell_groups(_run_group, groups, jobs=2, finished=recorder(par_calls))
+        assert seq_calls == [
+            (i, p, [11, 23]) for i in (0, 1) for p in range(len(POLICIES))
+        ]
+        # Completion order may differ under the pool; the call *set* not.
+        assert sorted(par_calls) == seq_calls
 
 
 class TestGridSweep:
@@ -154,3 +182,68 @@ class TestGridSweep:
             )
         assert len(exc.value.failures) == 2
         assert "BOOM" in str(exc.value)
+
+    def test_in_process_grid_runs_column_policy_seed(self, monkeypatch):
+        # Callers that capture cells through runner.run_policy_on read
+        # them back column by column, policy by policy, seed by seed.
+        generated, ran = [], []
+        real_generate, real_run = runner.generate, runner.run_policy_on
+
+        def counting_generate(spec, seed):
+            generated.append((spec.utilization, seed))
+            return real_generate(spec, seed)
+
+        def tracing_run(workload, policy, **kwargs):
+            ran.append((workload.spec.utilization, policy.display, workload.seed))
+            return real_run(workload, policy, **kwargs)
+
+        monkeypatch.setattr(runner, "generate", counting_generate)
+        monkeypatch.setattr(runner, "run_policy_on", tracing_run)
+        grid_sweep(
+            self.columns(), POLICIES, "average_tardiness", (11, 23),
+            x_label="utilization",
+        )
+        assert generated == [(u, s) for u in (0.4, 0.9) for s in (11, 23)]
+        assert ran == [
+            (u, p.display, s)
+            for u in (0.4, 0.9)
+            for p in POLICIES
+            for s in (11, 23)
+        ]
+
+    def test_repeated_display_names_keep_every_policy(self):
+        twins = (
+            PolicySpec.of("edf", "EDF"),
+            PolicySpec.of("balance-aware", "BA", time_rate=0.002),
+            PolicySpec.of("balance-aware", "BA", time_rate=0.01),
+        )
+        series = grid_sweep(
+            self.columns()[:1],
+            twins,
+            "average_tardiness",
+            (11,),
+            x_label="utilization",
+        )
+        assert list(series.series) == ["EDF", "BA", "BA #2"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_progress_line_per_finished_column_and_policy(self, jobs):
+        lines = []
+        series = grid_sweep(
+            self.columns(),
+            POLICIES,
+            "average_tardiness",
+            (11, 23),
+            x_label="utilization",
+            jobs=jobs,
+            progress=lines.append,
+        )
+        expected = [
+            f"x={x:g} {name} average_tardiness={series.get(name)[i]:.3f}"
+            for i, x in enumerate(series.x)
+            for name in ("EDF", "SRPT")
+        ]
+        # the pool may finish columns in any order
+        assert sorted(lines) == sorted(expected)
+        if jobs == 1:
+            assert lines == expected

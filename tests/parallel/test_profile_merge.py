@@ -9,7 +9,7 @@ when profiling is off (zero-cost default).
 """
 
 from repro.experiments.config import PolicySpec
-from repro.experiments.parallel import SweepColumn, grid_sweep
+from repro.experiments.runner import SweepColumn, grid_sweep
 from repro.obs.profile import ProfileSnapshot
 from repro.workload.spec import WorkloadSpec
 

@@ -10,12 +10,13 @@ the sketch merge itself is associative.
 import json
 
 from repro.experiments.config import PolicySpec
-from repro.experiments.parallel import (
+from repro.experiments.parallel import run_cell_groups
+from repro.experiments.runner import (
     CellGroup,
     SweepColumn,
     TelemetrySpec,
+    _run_group,
     grid_sweep,
-    run_cell_groups,
 )
 from repro.workload.spec import WorkloadSpec
 
@@ -78,11 +79,11 @@ def test_run_cell_groups_indexes_telemetry_by_coordinates():
     spec = WorkloadSpec(n_transactions=40, utilization=0.9)
     groups = [
         CellGroup(
-            index=0,
+            column=0,
             x=0.9,
-            seed=seed,
             spec=spec,
             policies=POLICIES,
+            cells=tuple((pos, seed) for pos in range(len(POLICIES))),
             metric="average_tardiness",
             telemetry=TelemetrySpec(topk=4),
         )
@@ -90,7 +91,7 @@ def test_run_cell_groups_indexes_telemetry_by_coordinates():
     ]
     cell_telemetry = {}
     results, failures = run_cell_groups(
-        groups, jobs=2, telemetry_out=cell_telemetry
+        _run_group, groups, jobs=2, telemetry_out=cell_telemetry
     )
     assert failures == []
     expected_keys = {
