@@ -60,7 +60,6 @@ def main() -> None:
     for t in txns:
         # Scramble the beliefs: long ones look short and vice versa.
         t.length_estimate = max(0.5, 8.0 - t.length)
-        t.believed_remaining = t.length_estimate
     noisy = Simulator(txns, make_policy("asets")).run()
     print(f"  noisy estimates : avg tardiness {noisy.average_tardiness:.2f}")
 

@@ -6,9 +6,11 @@ The package provides:
 * the **ASETS\\*** adaptive scheduling policy and every baseline the paper
   compares against (:mod:`repro.policies`),
 * the transaction/workflow model (:mod:`repro.core`),
-* a discrete-event RTDBMS simulator (:mod:`repro.sim`),
+* a discrete-event RTDBMS simulator and its per-run tardiness metrics
+  (:mod:`repro.sim`),
 * the synthetic workload generator of Table I (:mod:`repro.workload`),
-* tardiness metrics and aggregation (:mod:`repro.metrics`),
+* multi-run aggregation, tardiness distributions and reports
+  (:mod:`repro.metrics`),
 * engine observability — instrumentation hooks, metrics registry, JSONL
   event logs, run reports (:mod:`repro.obs`),
 * a simulated web-database substrate — in-memory store, content

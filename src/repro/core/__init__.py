@@ -11,16 +11,17 @@ This subpackage defines the vocabulary of the paper's Section II:
   (Definitions 8 and 9).
 * :class:`~repro.core.workflow_set.WorkflowSet` — the network of workflows
   over a transaction pool, with the bookkeeping the scheduler needs.
-* :mod:`~repro.core.slack` — slack and lateness helpers (Definition 2).
 
-The policies' priority keys (Section II-C) live with the policies, in
-:mod:`repro.policies.ordering` and each baseline's ``key``.
+Slack and feasibility (Definitions 2, 6 and 7) and the policies' priority
+keys (Section II-C) live with the policies, in
+:mod:`repro.policies.ordering` and each baseline's ``key``; tardiness
+(Definitions 3-5) lives with the results, on
+:class:`~repro.sim.results.TransactionRecord`.
 """
 
 from repro.core.transaction import Transaction, TransactionState
 from repro.core.workflow import Workflow, RepresentativeView
 from repro.core.workflow_set import WorkflowSet
-from repro.core.slack import slack, is_past_deadline, latest_start_time
 
 __all__ = [
     "Transaction",
@@ -28,7 +29,4 @@ __all__ = [
     "Workflow",
     "RepresentativeView",
     "WorkflowSet",
-    "slack",
-    "is_past_deadline",
-    "latest_start_time",
 ]

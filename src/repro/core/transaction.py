@@ -72,11 +72,12 @@ class Transaction:
 
     Examples
     --------
+    >>> from repro.policies.ordering import feasible_at, slack
     >>> t = Transaction(1, arrival=0.0, length=3.0, deadline=10.0)
-    >>> t.slack(at=0.0)
+    >>> slack(t.deadline, t.scheduling_remaining, now=0.0)
     7.0
-    >>> t.is_past_deadline(at=8.0)
-    True
+    >>> feasible_at(t.deadline, t.scheduling_remaining, now=8.0)
+    False
     """
 
     __slots__ = (
@@ -139,9 +140,8 @@ class Transaction:
         self.submitted_deadline = float(deadline)
         # Mutable simulation state.  ``remaining`` is ground truth (the
         # engine's accounting); ``scheduling_remaining`` is the belief
-        # policies rank by.  The belief is the plain slot (it sits on
-        # every policy's hottest lines) and :attr:`believed_remaining`
-        # is the property alias kept for the engine-facing vocabulary.
+        # policies rank by.  The two coincide when the length estimate is
+        # exact (the default).
         self.remaining = float(length)
         self.scheduling_remaining = self.length_estimate
         self.state = TransactionState.CREATED
@@ -192,75 +192,10 @@ class Transaction:
             )
 
     # ------------------------------------------------------------------
-    # Derived quantities (Definition 2 and the ASETS list predicates).
+    # Lifecycle predicates.  Slack and feasibility (Definitions 2, 6, 7)
+    # are :mod:`repro.policies.ordering`'s; tardiness (Definitions 3-5)
+    # is :class:`~repro.sim.results.TransactionRecord`'s.
     # ------------------------------------------------------------------
-    @property
-    def believed_remaining(self) -> float:
-        """Alias of :attr:`scheduling_remaining`, the scheduler's belief.
-
-        Policies rank by :attr:`scheduling_remaining` (a plain slot, as
-        it sits on every policy's hottest lines); the engine executes by
-        :attr:`remaining`.  The two coincide when the length estimate is
-        exact (the default).  This alias keeps the engine-facing
-        "belief" vocabulary (and stays the name lint rule RL008 bans
-        policies from touching, exactly like ``remaining``).
-        """
-        return self.scheduling_remaining
-
-    @believed_remaining.setter
-    def believed_remaining(self, value: float) -> None:
-        self.scheduling_remaining = value
-
-    def slack(self, at: float) -> float:
-        """Return the slack :math:`s_i = d_i - (t + r_i)` at time ``at``.
-
-        Negative slack means the transaction can no longer meet its
-        deadline even if it starts immediately.  Computed from the
-        scheduler's belief about the remaining time.
-        """
-        return self.deadline - (at + self.scheduling_remaining)
-
-    def is_past_deadline(self, at: float) -> bool:
-        """True iff the transaction cannot meet its deadline from ``at``.
-
-        This is the SRPT-List membership test of Definition 7:
-        :math:`t + r_i > d_i`, judged on the believed remaining time.
-        """
-        return at + self.scheduling_remaining > self.deadline
-
-    def latest_start_time(self) -> float:
-        """Latest time the transaction can start and still meet its deadline.
-
-        While a transaction waits (``scheduling_remaining`` frozen), it
-        belongs to the EDF-List exactly until the clock passes this value
-        — the policies use it as a static migration threshold.
-        """
-        return self.deadline - self.scheduling_remaining
-
-    def tardiness(self) -> float:
-        """Return the tardiness :math:`t_i = \\max(0, f_i - d_i)`.
-
-        Raises if the transaction has not completed yet (Definition 3 is
-        only meaningful for finished transactions).
-        """
-        if self.finish_time is None:
-            raise InvalidTransactionError(
-                f"transaction {self.txn_id} has not finished; tardiness undefined"
-            )
-        return max(0.0, self.finish_time - self.deadline)
-
-    def weighted_tardiness(self) -> float:
-        """Return :math:`t_i \\cdot w_i` (Definition 5's summand)."""
-        return self.tardiness() * self.weight
-
-    def response_time(self) -> float:
-        """Return the time spent in the system, :math:`f_i - a_i`."""
-        if self.finish_time is None:
-            raise InvalidTransactionError(
-                f"transaction {self.txn_id} has not finished; response undefined"
-            )
-        return self.finish_time - self.arrival
-
     @property
     def is_independent(self) -> bool:
         """True iff the dependency list is empty."""

@@ -44,8 +44,9 @@ class RepresentativeView:
     """Snapshot of a workflow's representative transaction (Definition 9).
 
     Exposes the same ``deadline`` / ``remaining`` / ``weight`` /
-    ``scheduling_remaining`` attributes as a real transaction, so the slack
-    helpers and the ASETS* decision rule can treat it uniformly.  Like
+    ``scheduling_remaining`` attributes as a real transaction, so the
+    :mod:`repro.policies.ordering` functions and the ASETS* decision rule
+    can treat it uniformly.  Like
     :class:`~repro.core.transaction.Transaction`, the view keeps the
     engine's ground truth (``remaining``) apart from the scheduler's
     belief (``scheduling_remaining``, aggregated from the members' length
@@ -69,14 +70,6 @@ class RepresentativeView:
         self.scheduling_remaining = (
             remaining if scheduling_remaining is None else scheduling_remaining
         )
-
-    def slack(self, at: float) -> float:
-        """Believed slack of the representative, :math:`d_{rep} - (t + r_{rep})`."""
-        return self.deadline - (at + self.scheduling_remaining)
-
-    def is_past_deadline(self, at: float) -> bool:
-        """EDF-List membership test (Definition 6), on the believed time."""
-        return at + self.scheduling_remaining > self.deadline
 
     def __repr__(self) -> str:
         return (
@@ -308,28 +301,6 @@ class Workflow:
         carries ``remaining``) must be rebuilt.
         """
         self._rep = None
-
-    def pending_members(self) -> list[Transaction]:
-        """Members that have been submitted but not finished.
-
-        The scheduler only knows about transactions that have arrived
-        (Section II-A: characteristics become available on submission), so
-        members still in ``CREATED`` state are invisible.  Terminal
-        failure states (``ABORTED`` / ``SHED``, fault injection only) are
-        excluded like ``COMPLETED`` — a dead member must not pin the
-        workflow's representative or block its head forever.
-        """
-        return [
-            txn
-            for txn in self.members()
-            if txn.state
-            not in (
-                TransactionState.CREATED,
-                TransactionState.COMPLETED,
-                TransactionState.ABORTED,
-                TransactionState.SHED,
-            )
-        ]
 
     @property
     def is_completed(self) -> bool:

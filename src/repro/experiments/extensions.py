@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from repro.experiments import runner
 from repro.experiments.config import ExperimentConfig, PolicySpec
 from repro.experiments.runner import SweepColumn, generate_workloads, grid_sweep
 from repro.metrics.aggregates import MetricSeries, mean
-from repro.metrics.distributions import gini, tardiness, tardiness_percentile
-from repro.sim.engine import Simulator
+from repro.metrics.distributions import gini, tardiness_percentile
 from repro.workload.spec import WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -165,8 +165,10 @@ def tail_analysis(
     for policy in policies:
         per_stat = {name: [] for name in stats}
         for w in workloads:
-            result = Simulator(w.transactions, policy.make()).run()
-            values = [tardiness(r) for r in result.records]
+            # Looked up on the module, like every sweep cell, so a wrapper
+            # installed on runner.run_policy_on sees this cell too.
+            result = runner.run_policy_on(w, policy)
+            values = [r.tardiness for r in result.records]
             per_stat["mean"].append(result.average_tardiness)
             per_stat["p95"].append(tardiness_percentile(result.records, 95))
             per_stat["p99"].append(tardiness_percentile(result.records, 99))

@@ -25,6 +25,7 @@ from typing import Sequence
 
 from repro.core.transaction import Transaction
 from repro.errors import FaultError
+from repro.policies.ordering import slack
 
 __all__ = [
     "ShedByFeasibility",
@@ -67,14 +68,15 @@ class ShedByWeight(ShedPolicy):
 class ShedByFeasibility(ShedPolicy):
     """Shed the most-infeasible ready work first (smallest believed slack).
 
-    Uses the scheduler-visible slack (believed remaining time), matching
-    the estimate-blind basis every policy ranks by.
+    Uses the scheduler-visible slack (:func:`repro.policies.ordering.slack`,
+    on the believed remaining time), matching the estimate-blind basis
+    every policy ranks by.
     """
 
     name = "feasibility"
 
     def rank(self, txn: Transaction, now: float) -> tuple[float, int]:
-        return (txn.slack(now), txn.txn_id)
+        return (slack(txn.deadline, txn.scheduling_remaining, now), txn.txn_id)
 
 
 _POLICIES: dict[str, type[ShedPolicy]] = {

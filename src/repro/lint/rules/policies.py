@@ -25,9 +25,9 @@ transcript and the run would no longer replay.
 
 RL008: policies rank by the scheduler's *belief*, never the engine's
 ground truth.  ``remaining`` is the true remaining processing time the
-engine charges against; ``believed_remaining`` is the raw estimate-based
-store behind the ``scheduling_remaining`` property.  Policy code reading
-either directly is an oracle leak: with inexact length estimates
+engine charges against; policy code reading it (or ``believed_remaining``,
+an earlier name of the belief that stays on the list) is an oracle leak:
+with inexact length estimates
 (``WorkloadSpec.length_estimate_error > 0``) the policy would rank by
 information the system cannot have (§II-A), silently inflating its
 results.  The leak is invisible under the default exact estimates —
@@ -70,6 +70,7 @@ ENGINE_OWNED_ATTRS = {
     "state",
     "remaining",
     "believed_remaining",
+    "scheduling_remaining",
     "finish_time",
     "first_start_time",
     "last_dispatch_time",

@@ -13,8 +13,9 @@ The rule runs the taint engine with two label tags, ``sim`` and
 ``wall``:
 
 * ``sim`` sources — attribute loads of ``.now``/``.deadline``, calls to
-  ``slack(...)``, and parameters named ``now``/``at``/``sim_now``/
-  ``deadline`` (the instrument-hook and record-builder convention);
+  ``slack(...)``/``latest_start(...)``, and parameters named
+  ``now``/``at``/``sim_now``/``deadline`` (the instrument-hook and
+  record-builder convention);
 * ``wall`` sources — ``perf_counter()``/``monotonic()``/``time.time()``
   calls and parameters whose name starts with ``wall``.
 
@@ -24,7 +25,8 @@ Violations:
   and one pure-``wall`` operand (``*``/``/`` stay legal — dividing a
   count by a wall-clock span is how rates are made);
 * passing a ``wall`` value to a parameter a known hook/record-builder
-  signature declares as sim-time (``arrival_record(txn, wall)``).
+  signature declares as sim-time (``arrival_record(txn, wall)``, or
+  ``feasible_at(d, r, now=wall)``).
 
 Scope: ``repro.sim``, ``repro.policies``, ``repro.faults`` and
 ``repro.obs`` — everything that touches either clock.
@@ -58,8 +60,8 @@ WALL = "wall"
 #: Attribute loads that produce simulated-time values.
 SIM_ATTRS = frozenset({"now", "deadline"})
 
-#: Calls returning simulated-time spans.
-SIM_CALLS = frozenset({"slack"})
+#: Calls returning simulated-time values (:mod:`repro.policies.ordering`).
+SIM_CALLS = frozenset({"slack", "latest_start"})
 
 #: Calls returning wall-clock samples.
 WALL_CALLS = frozenset({"perf_counter", "monotonic"})
@@ -87,7 +89,8 @@ HOOK_SIGNATURES: dict[str, tuple[frozenset[int], frozenset[str]]] = {
     "run_end_record": (frozenset(), frozenset({"now"})),
     "advance": (frozenset({0}), frozenset({"now"})),
     "observe_point": (frozenset({0}), frozenset({"now"})),
-    "is_past_deadline": (frozenset(), frozenset({"at"})),
+    "feasible_at": (frozenset({2}), frozenset({"now"})),
+    "slack": (frozenset({2}), frozenset({"now"})),
 }
 
 #: Arithmetic operators where mixing dimensions is an error.  ``*`` and

@@ -1,19 +1,21 @@
-"""Performance metrics and multi-run aggregation.
+"""Multi-run aggregation, distributions and reporting.
 
-Definitions 3-5 of the paper (tardiness, average tardiness, average
-weighted tardiness), the worst-case metric of Section IV-F (maximum
-weighted tardiness), normalisation helpers for Figures 10-13, and the
-seeded multi-run averaging ("the averages of five runs for each
-experiment setting").
+Normalisation helpers for Figures 10-13, the seeded multi-run averaging
+("the averages of five runs for each experiment setting"), tardiness
+percentiles, histograms and the Gini coefficient, and table/chart
+rendering.
+
+The per-run metrics themselves — Definitions 3-5 (tardiness, average
+tardiness, average weighted tardiness) and the worst-case metric of
+Section IV-F (maximum weighted tardiness) — are defined once, in
+:mod:`repro.sim.results`: a record's ``tardiness`` and
+``weighted_tardiness`` on :class:`~repro.sim.results.TransactionRecord`,
+their aggregates on :class:`~repro.sim.results.SimulationResult`.  To
+aggregate a subset of a run's records (say, only the gold-tier
+transactions), build ``SimulationResult(name, subset)`` or
+``StreamSummary.from_records(subset)``.
 """
 
-from repro.metrics.tardiness import (
-    tardiness,
-    average_tardiness,
-    average_weighted_tardiness,
-    max_weighted_tardiness,
-    deadline_miss_ratio,
-)
 from repro.metrics.aggregates import (
     MetricSeries,
     mean,
@@ -32,11 +34,6 @@ from repro.metrics.distributions import (
 from repro.metrics.charts import render_chart
 
 __all__ = [
-    "tardiness",
-    "average_tardiness",
-    "average_weighted_tardiness",
-    "max_weighted_tardiness",
-    "deadline_miss_ratio",
     "MetricSeries",
     "mean",
     "normalized",

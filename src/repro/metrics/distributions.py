@@ -3,16 +3,21 @@
 The paper reports means and maxima; real deployments care about the tail
 in between (p95/p99 latency SLOs).  These helpers extend the metric
 vocabulary without touching the core definitions, and power the
-tail-analysis benchmark.
+tail-analysis benchmark.  They read each record's own ``tardiness`` and
+``weighted_tardiness`` (:class:`~repro.sim.results.TransactionRecord`),
+so an aborted or shed record carries zero tardiness here, as it does in
+the run's totals.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.errors import SimulationError
-from repro.metrics.tardiness import CompletedLike, tardiness
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.results import TransactionRecord
 
 __all__ = [
     "percentile",
@@ -45,20 +50,22 @@ def percentile(values: Iterable[float], q: float) -> float:
     return data[low] * (1 - frac) + data[high] * frac
 
 
-def tardiness_percentile(records: Iterable[CompletedLike], q: float) -> float:
+def tardiness_percentile(
+    records: Iterable[TransactionRecord], q: float
+) -> float:
     """Percentile of the per-transaction tardiness distribution."""
-    return percentile((tardiness(r) for r in records), q)
+    return percentile((r.tardiness for r in records), q)
 
 
 def weighted_tardiness_percentile(
-    records: Iterable[CompletedLike], q: float
+    records: Iterable[TransactionRecord], q: float
 ) -> float:
     """Percentile of the per-transaction *weighted* tardiness distribution."""
-    return percentile((tardiness(r) * r.weight for r in records), q)
+    return percentile((r.weighted_tardiness for r in records), q)
 
 
 def tardiness_histogram(
-    records: Iterable[CompletedLike],
+    records: Iterable[TransactionRecord],
     bin_edges: Sequence[float],
 ) -> list[int]:
     """Counts of tardiness values per bin.
@@ -74,7 +81,7 @@ def tardiness_histogram(
         raise SimulationError(f"bin edges must be increasing: {edges}")
     counts = [0] * (len(edges) + 1)
     for record in records:
-        value = tardiness(record)
+        value = record.tardiness
         index = 0
         while index < len(edges) and value >= edges[index]:
             index += 1

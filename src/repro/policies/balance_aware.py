@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Sequence
 from repro.core.transaction import Transaction, TransactionState
 from repro.errors import SchedulingError
 from repro.policies.base import Scheduler
-from repro.policies.ordering import aging_key
+from repro.policies.ordering import aging_key, feasible_at
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.core.workflow_set import WorkflowSet
@@ -195,7 +195,9 @@ class BalanceAware(Scheduler):
         for txn in self._ready.values():
             if txn.state is not TransactionState.READY:
                 continue
-            if self.tardy_only and not txn.is_past_deadline(now):
+            if self.tardy_only and feasible_at(
+                txn.deadline, txn.scheduling_remaining, now
+            ):
                 continue
             key = (aging_key(txn), txn.txn_id)
             if best_key is None or key < best_key:

@@ -22,5 +22,6 @@ class LeastSlack(HeapScheduler):
     name = "ls"
 
     def key(self, txn: Transaction) -> float:
-        # Equal to ordering by slack d - (t + r) because t is shared.
+        # ordering.latest_start, inline on the heap's hot path: ordering
+        # by d - r is ordering by slack d - (t + r), because t is shared.
         return txn.deadline - txn.scheduling_remaining

@@ -24,6 +24,7 @@ from repro.policies.base import Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.core.workflow_set import WorkflowSet
+    from repro.obs.profile import Probe
 
 __all__ = ["NonPreemptive"]
 
@@ -64,6 +65,11 @@ class NonPreemptive(Scheduler):
         self._offered.clear()
         self._last_now = None
 
+    def attach_probe(self, probe: "Probe | None") -> None:
+        """Propagate the probe so the inner policy's spans attribute too."""
+        super().attach_probe(probe)
+        self.inner.attach_probe(probe)
+
     def on_arrival(self, txn: Transaction, now: float) -> None:
         self.inner.on_arrival(txn, now)
 
@@ -76,6 +82,12 @@ class NonPreemptive(Scheduler):
     def on_completion(self, txn: Transaction, now: float) -> None:
         self._pinned.pop(txn.txn_id, None)
         self.inner.on_completion(txn, now)
+
+    def on_fault(self, txn: Transaction, now: float) -> None:
+        # An aborted or shed transaction gives its server up: a retry
+        # re-enters as fresh ready work, not as the running pin.
+        self._pinned.pop(txn.txn_id, None)
+        self.inner.on_fault(txn, now)
 
     def on_activation(self, now: float) -> None:
         self.inner.on_activation(now)

@@ -5,6 +5,8 @@ The paper's two-list scheme hinges on one predicate and two orderings:
 * **feasibility** (Definitions 6/7) — an item belongs to the EDF-List iff
   it can still meet its deadline when started now,
   :math:`t + r \\le d`, judged on the scheduler's believed remaining time;
+  its margin is the **slack** :math:`d - (t + r)` (Definition 2) and its
+  flip time the **latest start** :math:`d - r`;
 * the **EDF order** — feasible items sorted by deadline;
 * the **HDF order** — infeasible items sorted by density :math:`w / r`
   (descending; equal weights reduce it to SRPT order);
@@ -15,7 +17,7 @@ impact* comparison of Equation 1 / Figure 7
 
 Before this module existed each call site re-derived these expressions
 locally (the ASETS* rescan tested ``now + r <= d`` while the
-introspection helpers asked ``is_past_deadline(now)``, and every density
+introspection helpers asked ``now + r > d``, and every density
 key divided by the believed remaining time unguarded).  Re-derivation is
 how orderings drift: a float-ulp difference in the membership test, or a
 division by a zero believed remaining, changes a decision in one place
@@ -23,14 +25,17 @@ but not the other.  The reference rescans the test suite checks ASETS*
 against call the functions below; the incremental ASETS* heaps inline
 them on their hot path, each site marked with the function it
 transcribes, and the byte-identity suite against the rescans pins the
-two to the same decisions.  The balance-aware
+two to the same decisions.  Slack, feasibility and latest start are
+defined here and nowhere else: the shed-by-feasibility admission guard
+(:mod:`repro.faults.admission`) and balance-aware's ``tardy_only`` filter
+call them as well.  The balance-aware
 aging order (:func:`aging_key`) lives here too; the static-key
 baselines (EDF, SRPT, HDF, ...) define theirs as the ``key`` of their
 :class:`~repro.policies.base.HeapScheduler`.
 
 Density guard
 -------------
-``believed_remaining`` can reach exactly ``0.0`` while a transaction is
+``scheduling_remaining`` can reach exactly ``0.0`` while a transaction is
 still schedulable: under ``length_estimate_error`` the engine zeroes the
 belief the instant the ground-truth work is exhausted, and a completion
 event re-dispatched across a preemption can land a float ulp later than
@@ -51,6 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "feasible_at",
+    "slack",
     "edf_key",
     "hdf_rank",
     "hdf_key",
@@ -71,6 +77,15 @@ def feasible_at(deadline: float, scheduling_remaining: float, now: float) -> boo
     comparison, so that all of them agree to the float ulp.
     """
     return now + scheduling_remaining <= deadline
+
+
+def slack(deadline: float, scheduling_remaining: float, now: float) -> float:
+    """Believed slack ``d - (now + r)`` (Definition 2).
+
+    Negative slack means the item can no longer meet its deadline even if
+    it starts now; zero slack is still feasible (:func:`feasible_at`).
+    """
+    return deadline - (now + scheduling_remaining)
 
 
 def edf_key(deadline: float, tie_id: int) -> tuple[float, int]:

@@ -24,7 +24,7 @@ pool was handed to the engine — also the iteration order of the engine's
   scan, with a byte-identical resulting list.
 
 Mutable believed/served quantities (``remaining``,
-``believed_remaining``, dynamic deadlines across retries) intentionally
+``scheduling_remaining``, dynamic deadlines across retries) intentionally
 stay on the objects: they have a single writer (the engine) and many
 low-frequency readers, so mirroring them here would buy nothing but a
 dual-write invariant to maintain.

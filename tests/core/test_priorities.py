@@ -6,7 +6,7 @@ the density guard and the balance-aware aging order live in
 """
 
 from repro.policies import EDF, HDF, HVF, MIX, SRPT, LeastSlack
-from repro.policies.ordering import aging_key, hdf_rank
+from repro.policies.ordering import aging_key, hdf_rank, latest_start, slack
 from tests.conftest import make_txn
 
 
@@ -23,9 +23,12 @@ def test_srpt_prefers_shorter_remaining():
 
 
 def test_least_slack_returns_true_slack():
-    # The heap key drops the shared clock: key - now is the true slack.
+    # The heap key drops the shared clock: it is the latest start, and
+    # key - now is the true slack.
     t = make_txn(length=3.0, deadline=10.0)
-    assert LeastSlack().key(t) - 2.0 == t.slack(2.0) == 5.0
+    d, r = t.deadline, t.scheduling_remaining
+    assert LeastSlack().key(t) == latest_start(d, r) == 7.0
+    assert LeastSlack().key(t) - 2.0 == slack(d, r, now=2.0) == 5.0
 
 
 def test_hdf_prefers_higher_density():
@@ -44,7 +47,7 @@ def test_hdf_reduces_to_srpt_with_unit_weights():
 def test_hdf_exhausted_transaction_has_top_priority():
     t = make_txn(length=1.0)
     t.remaining = 0.0
-    t.believed_remaining = 0.0
+    t.scheduling_remaining = 0.0
     assert HDF().key(t) == hdf_rank(t.weight, 0.0) == float("-inf")
 
 

@@ -1,10 +1,28 @@
-"""Unit tests for the transaction model (Definition 1-3)."""
+"""Unit tests for the transaction model (Definition 1-3).
+
+A transaction carries the inputs of Definitions 2-3; the quantities
+themselves are spelled once each: slack, feasibility and latest start in
+:mod:`repro.policies.ordering`, tardiness and response time on the
+:class:`~repro.sim.results.TransactionRecord` built from the finished
+transaction.
+"""
 
 import pytest
 
 from repro.core.transaction import Transaction, TransactionState
-from repro.errors import InvalidTransactionError
+from repro.errors import InvalidTransactionError, SimulationError
+from repro.policies.ordering import feasible_at, latest_start, slack
+from repro.sim.results import TransactionRecord
 from tests.conftest import make_txn
+
+
+def finished(t, start, finish):
+    """Run ``t`` from ``start`` to completion at ``finish``; its record."""
+    t.mark_ready()
+    t.mark_running(start)
+    t.charge(t.length)
+    t.mark_completed(finish)
+    return TransactionRecord.from_transaction(t)
 
 
 class TestValidation:
@@ -60,50 +78,41 @@ class TestDerivedQuantities:
     def test_slack_definition(self):
         # Definition 2: s = d - (t + r).
         t = make_txn(length=3.0, deadline=10.0)
-        assert t.slack(at=0.0) == 7.0
-        assert t.slack(at=7.0) == 0.0
-        assert t.slack(at=8.0) == -1.0
+        d, r = t.deadline, t.scheduling_remaining
+        assert slack(d, r, now=0.0) == 7.0
+        assert slack(d, r, now=7.0) == 0.0
+        assert slack(d, r, now=8.0) == -1.0
 
     def test_past_deadline_boundary(self):
         # Definition 6/7 boundary: feasible iff t + r <= d.
         t = make_txn(length=3.0, deadline=10.0)
-        assert not t.is_past_deadline(at=7.0)  # t + r == d: still feasible
-        assert t.is_past_deadline(at=7.0001)
+        d, r = t.deadline, t.scheduling_remaining
+        assert feasible_at(d, r, now=7.0)  # t + r == d: still feasible
+        assert not feasible_at(d, r, now=7.0001)
 
     def test_latest_start_time(self):
         t = make_txn(length=3.0, deadline=10.0)
-        assert t.latest_start_time() == 7.0
+        assert latest_start(t.deadline, t.scheduling_remaining) == 7.0
 
     def test_tardiness_requires_completion(self):
-        t = make_txn()
-        with pytest.raises(InvalidTransactionError):
-            t.tardiness()
+        # Definition 3 is only meaningful for finished transactions.
+        with pytest.raises(SimulationError):
+            TransactionRecord.from_transaction(make_txn())
 
     def test_tardiness_zero_when_on_time(self):
-        t = make_txn(length=2.0, deadline=10.0)
-        t.mark_ready()
-        t.mark_running(0.0)
-        t.charge(2.0)
-        t.mark_completed(2.0)
-        assert t.tardiness() == 0.0
-        assert t.weighted_tardiness() == 0.0
+        r = finished(make_txn(length=2.0, deadline=10.0), 0.0, 2.0)
+        assert r.tardiness == 0.0
+        assert r.weighted_tardiness == 0.0
 
     def test_tardiness_positive_when_late(self):
         t = make_txn(length=2.0, deadline=3.0, weight=4.0)
-        t.mark_ready()
-        t.mark_running(5.0)
-        t.charge(2.0)
-        t.mark_completed(7.0)
-        assert t.tardiness() == 4.0
-        assert t.weighted_tardiness() == 16.0
+        r = finished(t, 5.0, 7.0)
+        assert r.tardiness == 4.0
+        assert r.weighted_tardiness == 16.0
 
     def test_response_time(self):
         t = make_txn(arrival=1.0, length=2.0, deadline=30.0)
-        t.mark_ready()
-        t.mark_running(4.0)
-        t.charge(2.0)
-        t.mark_completed(6.0)
-        assert t.response_time() == 5.0
+        assert finished(t, 4.0, 6.0).response_time == 5.0
 
 
 class TestLifecycle:

@@ -5,6 +5,7 @@ import pytest
 from repro.core.transaction import Transaction
 from repro.core.workflow import RepresentativeView, Workflow
 from repro.errors import InvalidWorkflowError
+from repro.policies.ordering import feasible_at, slack
 from tests.conftest import chain, make_txn
 
 
@@ -144,9 +145,10 @@ class TestHeadAndRepresentative:
 class TestRepresentativeView:
     def test_slack_and_feasibility(self):
         rep = RepresentativeView(deadline=10, remaining=3, weight=2)
-        assert rep.slack(at=4) == 3
-        assert not rep.is_past_deadline(at=7)
-        assert rep.is_past_deadline(at=7.5)
+        d, r = rep.deadline, rep.scheduling_remaining
+        assert slack(d, r, now=4) == 3
+        assert feasible_at(d, r, now=7)  # t + r == d: still feasible
+        assert not feasible_at(d, r, now=7.5)
 
     def test_equality_and_hash(self):
         a = RepresentativeView(1, 2, 3)
@@ -161,14 +163,15 @@ class TestRepresentativeView:
         assert rep.scheduling_remaining == 3
 
     def test_belief_and_truth_kept_apart(self):
-        # slack / is_past_deadline judge on the believed value, never the
+        # The view hands the policies the believed value, never the
         # ground-truth one (the §II-A estimate-error model).
         rep = RepresentativeView(
             deadline=10, remaining=8, weight=1, scheduling_remaining=3
         )
-        assert rep.slack(at=4) == 3  # 10 - (4 + 3), not 10 - (4 + 8)
-        assert not rep.is_past_deadline(at=7)
-        assert rep.is_past_deadline(at=7.5)
+        d, r = rep.deadline, rep.scheduling_remaining
+        assert slack(d, r, now=4) == 3  # 10 - (4 + 3), not 10 - (4 + 8)
+        assert feasible_at(d, r, now=7)
+        assert not feasible_at(d, r, now=7.5)
         assert rep != RepresentativeView(
             deadline=10, remaining=8, weight=1, scheduling_remaining=8
         )

@@ -134,6 +134,13 @@ class TestRL005:
         assert "mark_completed" in messages
         assert "_events" in messages
 
+    def test_flags_a_write_to_the_belief(self):
+        # The engine decays scheduling_remaining as work is charged; a
+        # policy rewriting it changes every other policy's view.
+        findings = findings_for("RL005", "bad_belief")
+        assert len(findings) == 1
+        assert "`scheduling_remaining`" in findings[0].message
+
 
 class TestRL006:
     def test_unguarded_hook_names_the_hook(self):
@@ -230,6 +237,14 @@ class TestRL011:
         assert "arithmetic mixes time dimensions" in messages
         assert "comparison mixes time dimensions" in messages
         assert "sim-time parameter" in messages
+
+    def test_wall_clock_now_into_the_ordering_predicates_is_flagged(self):
+        findings = findings_for("RL011", "bad_predicate")
+        assert [f.line for f in findings] == [12, 16]
+        assert "sim-time parameter `now` of `feasible_at(...)`" in (
+            findings[0].message
+        )
+        assert "sim-time parameter of `slack(...)`" in findings[1].message
 
     def test_rates_and_same_dimension_arithmetic_are_clean(self):
         assert findings_for("RL011", "good") == []

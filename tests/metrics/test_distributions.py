@@ -1,10 +1,11 @@
 """Unit tests for percentiles, histograms and the Gini coefficient."""
 
-from dataclasses import dataclass
-
 import pytest
 
 from repro.errors import SimulationError
+from repro.experiments.config import PolicySpec
+from repro.experiments.runner import run_policy_on
+from repro.faults import parse_fault_spec
 from repro.metrics.distributions import (
     gini,
     percentile,
@@ -12,13 +13,15 @@ from repro.metrics.distributions import (
     tardiness_percentile,
     weighted_tardiness_percentile,
 )
+from repro.sim.results import TransactionRecord
+from repro.workload.generator import generate
+from repro.workload.spec import WorkloadSpec
 
 
-@dataclass
-class Rec:
-    finish: float
-    deadline: float
-    weight: float = 1.0
+def rec(finish, deadline, weight=1.0, outcome="completed"):
+    return TransactionRecord(
+        1, 0.0, 1.0, deadline, weight, finish, 0.0, 0, outcome
+    )
 
 
 class TestPercentile:
@@ -54,28 +57,61 @@ class TestPercentile:
 
 class TestTardinessPercentiles:
     def test_tardiness_percentile(self):
-        recs = [Rec(finish=f, deadline=5.0) for f in (4.0, 6.0, 8.0)]
+        recs = [rec(finish=f, deadline=5.0) for f in (4.0, 6.0, 8.0)]
         # tardiness values: 0, 1, 3.
         assert tardiness_percentile(recs, 100) == 3.0
         assert tardiness_percentile(recs, 50) == 1.0
 
     def test_weighted_percentile(self):
-        recs = [Rec(6.0, 5.0, weight=10.0), Rec(8.0, 5.0, weight=1.0)]
+        recs = [rec(6.0, 5.0, weight=10.0), rec(8.0, 5.0, weight=1.0)]
         # weighted tardiness values: 10, 3.
         assert weighted_tardiness_percentile(recs, 100) == 10.0
 
 
+class TestFaultedRecords:
+    """Aborted and shed records carry zero tardiness, here as in the run."""
+
+    def test_a_shed_record_counts_as_zero(self):
+        recs = [rec(9.0, 5.0), rec(9.0, 5.0, outcome="shed")]
+        assert tardiness_percentile(recs, 0) == 0.0
+        assert tardiness_histogram(recs, [1.0]) == [1, 1]
+
+    def test_distributions_agree_with_the_records_of_a_shedding_run(self):
+        workload = generate(
+            WorkloadSpec(n_transactions=1000, utilization=0.9), seed=1
+        )
+        result = run_policy_on(
+            workload,
+            PolicySpec.of("edf"),
+            faults=parse_fault_spec("backlog_limit=20,shed_policy=feasibility"),
+        )
+        assert result.shed_count > 0
+        records = result.records
+        values = [r.tardiness for r in records]
+        weighted = [r.weighted_tardiness for r in records]
+        for q in (50, 90, 99):
+            assert tardiness_percentile(records, q) == percentile(values, q)
+            assert weighted_tardiness_percentile(records, q) == percentile(
+                weighted, q
+            )
+        edges = [1.0, 50.0, 200.0]
+        expected = [0] * (len(edges) + 1)
+        for value in values:
+            expected[sum(value >= edge for edge in edges)] += 1
+        assert tardiness_histogram(records, edges) == expected
+
+
 class TestHistogram:
     def test_binning(self):
-        recs = [Rec(finish=5.0 + t, deadline=5.0) for t in (0.0, 0.5, 1.5, 9.0)]
+        recs = [rec(finish=5.0 + t, deadline=5.0) for t in (0.0, 0.5, 1.5, 9.0)]
         counts = tardiness_histogram(recs, [1.0, 5.0])
         assert counts == [2, 1, 1]  # [<1, 1-5, >=5]
 
     def test_validation(self):
         with pytest.raises(SimulationError):
-            tardiness_histogram([Rec(5.0, 5.0)], [])
+            tardiness_histogram([rec(5.0, 5.0)], [])
         with pytest.raises(SimulationError):
-            tardiness_histogram([Rec(5.0, 5.0)], [2.0, 1.0])
+            tardiness_histogram([rec(5.0, 5.0)], [2.0, 1.0])
 
 
 class TestGini:

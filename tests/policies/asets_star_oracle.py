@@ -21,7 +21,7 @@ from repro.core.transaction import Transaction, TransactionState
 from repro.core.workflow import RepresentativeView, Workflow
 from repro.errors import SchedulingError
 from repro.policies.base import Scheduler
-from repro.policies.ordering import edf_key, feasible_at, hdf_key
+from repro.policies.ordering import edf_key, feasible_at, hdf_key, slack
 
 __all__ = ["ScanASETSStar", "SCAN", "partition", "edf_list", "hdf_list"]
 
@@ -107,7 +107,8 @@ class ScanASETSStar(Scheduler):
         _, rep_hdf, head_hdf = top_hdf
         ni_edf = head_edf.scheduling_remaining * rep_hdf.weight
         ni_hdf = (
-            head_hdf.scheduling_remaining - rep_edf.slack(now)
+            head_hdf.scheduling_remaining
+            - slack(rep_edf.deadline, rep_edf.scheduling_remaining, now)
         ) * rep_edf.weight
         if ni_edf < ni_hdf:
             return head_edf

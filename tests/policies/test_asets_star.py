@@ -186,7 +186,7 @@ class TestZeroDensityGuard:
         dense = make_txn(2, length=2.0, deadline=1.0, weight=9.0)
         policy = ASETSStar()
         ws = bind_and_arrive(policy, [zero, dense])
-        zero.believed_remaining = 0.0
+        zero.scheduling_remaining = 0.0
         ws.notify_changed(1)
         # Both are past-deadline (hence infeasible) at now=2.
         assert [wf.root_id for wf in hdf_list(policy, 2.0)] == [1, 2]
@@ -197,7 +197,7 @@ class TestZeroDensityGuard:
         dense = make_txn(2, length=2.0, deadline=1.0, weight=9.0)
         policy = ScanASETSStar()
         ws = bind_and_arrive(policy, [zero, dense])
-        zero.believed_remaining = 0.0
+        zero.scheduling_remaining = 0.0
         ws.notify_changed(1)
         assert policy.select(2.0) is zero
 

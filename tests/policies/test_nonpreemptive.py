@@ -2,6 +2,10 @@
 
 import pytest
 
+from repro.experiments.config import PolicySpec
+from repro.experiments.runner import run_policy_on
+from repro.faults import parse_fault_spec
+from repro.obs.profile import PhaseProfiler
 from repro.policies import ASETS, EDF, NonPreemptive, SRPT, make_policy
 from repro.sim.engine import Simulator
 from repro.workload import WorkloadSpec, generate
@@ -79,3 +83,49 @@ class TestPinning:
             workflow_set=w.workflow_set,
         ).run()
         assert res.n == 80
+
+
+class TestUnderFaults:
+    """Aborts and stalls end or stretch a pin; they never hand the server
+    to another transaction mid-run."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("inner", ["edf", "srpt", "asets", "asets-star"])
+    def test_aborts_and_stalls_make_no_preemption(self, inner, seed):
+        workload = generate(WorkloadSpec(n_transactions=400), seed=seed)
+        plan = parse_fault_spec(
+            f"seed={seed},abort_prob=0.2,max_retries=2,stall_prob=0.2"
+        )
+        result = run_policy_on(
+            workload, PolicySpec.of("non-preemptive", inner=inner), faults=plan
+        )
+        assert result.total_retries > 0
+        assert result.total_preemptions == 0
+        assert all(r.preemptions == 0 for r in result.records)
+
+    def test_an_aborted_pin_is_released_and_forwarded(self):
+        inner = EDF()
+        policy = NonPreemptive(inner)
+        t = make_txn(1)
+        policy.bind([t], None)
+        t.mark_ready()
+        policy.on_arrival(t, 0.0)
+        policy.on_ready(t, 0.0)
+        assert policy.select(0.0) is t
+        seen = []
+        inner.on_fault = lambda txn, now: seen.append((txn, now))
+        policy.on_fault(t, 1.0)
+        assert policy._pinned == {}
+        assert seen == [(t, 1.0)]
+
+    def test_profiled_run_attributes_the_inner_stages(self):
+        workload = generate(
+            WorkloadSpec(n_transactions=60, with_workflows=True), seed=1
+        )
+        profiler = PhaseProfiler()
+        run_policy_on(
+            workload,
+            PolicySpec.of("non-preemptive", inner="asets-star"),
+            profiler=profiler,
+        )
+        assert "incremental" in profiler.snapshot().probes

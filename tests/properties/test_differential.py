@@ -15,7 +15,12 @@ from hypothesis import given, settings
 from repro.core.transaction import Transaction, TransactionState
 from repro.policies import EDF, HDF, SRPT, LeastSlack, make_policy
 from repro.policies.base import ScanScheduler
-from repro.policies.ordering import negative_impact_edf, negative_impact_srpt
+from repro.policies.ordering import (
+    feasible_at,
+    negative_impact_edf,
+    negative_impact_srpt,
+    slack,
+)
 from repro.sim.engine import Simulator
 from tests.properties.test_engine_properties import transaction_pools
 
@@ -72,8 +77,12 @@ class NaiveASETS(ScanScheduler):
         ]
         if not ready:
             return None
-        edf_side = [t for t in ready if not t.is_past_deadline(now)]
-        srpt_side = [t for t in ready if t.is_past_deadline(now)]
+        edf_side, srpt_side = [], []
+        for t in ready:
+            if feasible_at(t.deadline, t.scheduling_remaining, now):
+                edf_side.append(t)
+            else:
+                srpt_side.append(t)
         t_edf = min(
             edf_side, key=lambda t: (t.deadline, t.arrival, t.txn_id)
         ) if edf_side else None
@@ -87,7 +96,8 @@ class NaiveASETS(ScanScheduler):
             return t_edf
         ni_edf = negative_impact_edf(t_edf.scheduling_remaining)
         ni_srpt = negative_impact_srpt(
-            t_srpt.scheduling_remaining, t_edf.slack(now)
+            t_srpt.scheduling_remaining,
+            slack(t_edf.deadline, t_edf.scheduling_remaining, now),
         )
         return t_edf if ni_edf < ni_srpt else t_srpt
 

@@ -255,7 +255,7 @@ EVENT_WORK = [
     ("mix", "clean", 808, 9, {A: 400, C: 409}, {}),
     ("mix", "chaos", 1038, 10, {A: 400, C: 502, F: 92, X: 1, R: 1, Y: 44}, {}),
     ("non-preemptive", "clean", 799, 0, {A: 400, C: 400}, {}),
-    ("non-preemptive", "chaos", 1072, 39, {A: 400, C: 531, F: 102, X: 1, R: 1, Y: 44}, {}),
+    ("non-preemptive", "chaos", 1029, 1, {A: 400, C: 493, F: 92, X: 1, R: 1, Y: 44}, {}),
     ("ready", "clean", 845, 46, {A: 400, C: 446}, {}),
     ("ready", "chaos", 1103, 67, {A: 400, C: 559, F: 99, X: 1, R: 1, Y: 44}, {}),
     ("srpt", "clean", 903, 104, {A: 400, C: 504}, {}),

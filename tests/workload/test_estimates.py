@@ -7,6 +7,7 @@ import pytest
 from repro.core.transaction import Transaction
 from repro.errors import InvalidTransactionError, WorkloadError
 from repro.policies import ASETS, SRPT
+from repro.policies.ordering import latest_start, slack
 from repro.sim.engine import Simulator
 from repro.workload.estimates import sample_estimates
 from repro.workload.generator import generate
@@ -87,8 +88,9 @@ class TestTransactionBelief:
     def test_slack_uses_belief(self):
         t = Transaction(1, arrival=0, length=5.0, deadline=20.0,
                         length_estimate=3.0)
-        assert t.slack(0.0) == 17.0  # 20 - (0 + 3), not 15
-        assert t.latest_start_time() == 17.0
+        d, r = t.deadline, t.scheduling_remaining
+        assert slack(d, r, now=0.0) == 17.0  # 20 - (0 + 3), not 15
+        assert latest_start(d, r) == 17.0
 
 
 class TestSchedulingWithEstimates:
