@@ -72,7 +72,9 @@ CKPT_MAGIC = b"REPROCKPT\n"
 #: Version 5: ``ASETS`` and ``Ready`` are ``ASETSStar`` over a singleton
 #: view (serials, placements, workflow heaps); a version-4 snapshot holds
 #: their old transaction heaps, which today's select path cannot read.
-CKPT_VERSION = 5
+#: Version 6: ``TxnTable`` keeps only its ``ids``/``arrival`` columns; a
+#: version-5 table carries ``deadline``/``length``/``weight`` slots.
+CKPT_VERSION = 6
 
 #: Keys every checkpoint header must carry.
 _HEADER_FIELDS = frozenset(

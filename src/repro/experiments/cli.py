@@ -506,8 +506,9 @@ def _run_metadata(args: argparse.Namespace) -> dict:
 def _export_events(recorder, meta: dict) -> tuple[object, int]:
     """Write a buffered run's log as ``meta`` configures it.
 
-    Returns ``(path, records_written)``.  The log goes through the same
-    :class:`~repro.obs.jsonl.SampledSink` a streaming run writes through.
+    Returns ``(path, records_written)``.  A sampled log goes through a
+    :class:`~repro.obs.jsonl.SampledSink`, and its records are those a
+    streaming run with the same rate writes.
     """
     from repro.obs.jsonl import EventSampler, SampledSink
 

@@ -24,7 +24,7 @@ cross-checks three surfaces against it:
 The whole-registry checks only engage when the registry looks like the
 real one (it declares ``run_start``), so toy fixtures can exercise the
 mechanics with two-kind registries; the never-emitted check additionally
-requires the recorder and streaming modules to be part of the lint run.
+requires the records and streaming modules to be part of the lint run.
 """
 
 from __future__ import annotations
@@ -425,7 +425,7 @@ class EventSchemaContracts(ProjectRule):
                     findings.extend(self._check_emit(site, registry))
             if module.in_package(CONSUMER_SCOPE):
                 findings.extend(self._check_consumers(module, registry))
-        for name in (f"{EMIT_SCOPE}.recorder", f"{EMIT_SCOPE}.streaming"):
+        for name in (f"{EMIT_SCOPE}.records", f"{EMIT_SCOPE}.streaming"):
             if project.find(name) is None:
                 have_emitters = False
         if have_emitters:

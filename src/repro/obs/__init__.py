@@ -15,10 +15,12 @@ opens the black box.  It provides:
   quantile sketches, streaming moments, top-k culprits, tumbling-window
   time-series and the :class:`StreamingRecorder` instrument that keeps a
   10\\ :sup:`6`-transaction run in bounded memory;
-* :mod:`repro.obs.recorder` — the event-record builders, and
-  :class:`Recorder`, the standard instrument: a
-  :class:`StreamingRecorder` whose sink is an in-memory event list, with
-  the timeline and exact ``select()`` percentiles read off that list;
+* :mod:`repro.obs.records` — the event-record builders, one canonical
+  dict per event kind;
+* :mod:`repro.obs.recorder` — :class:`Recorder`, the standard
+  instrument: a :class:`StreamingRecorder` whose sink is an in-memory
+  event list, with the timeline and exact ``select()`` percentiles read
+  off that list;
 * :mod:`repro.obs.progress` — wall-clock :class:`Heartbeat` /
   :class:`SweepHeartbeat` progress lines (outside the deterministic
   boundary; armed by the CLI's ``--progress``);

@@ -109,6 +109,10 @@ __all__ = [
 #: Current event-log schema version; bumped on incompatible changes.
 SCHEMA_VERSION = 1
 
+#: The one compact line encoder of every writer.  It escapes to ASCII,
+#: so a line's ``len`` is its size in bytes.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
 #: Event kinds an :class:`EventSampler` must never drop: run framing,
 #: aggregate window snapshots, and whole-system fault transitions.
 KEEP_ALWAYS_KINDS = frozenset(
@@ -135,7 +139,7 @@ class EventSchema:
 
 
 #: The declarative schema-1 registry: one entry per event kind, kept in
-#: sync with the record builders in :mod:`repro.obs.recorder` and the
+#: sync with the record builders in :mod:`repro.obs.records` and the
 #: window snapshots of :mod:`repro.obs.streaming`.  The lint rule RL012
 #: parses this literal statically and cross-checks every emit site and
 #: every :mod:`repro.obs.analyze` consumer against it, so edit the
@@ -245,8 +249,7 @@ class JsonlWriter:
     def write(self, record: dict) -> None:
         if self._file is None:
             raise ObservabilityError(f"writer for {self.path} already closed")
-        self._file.write(json.dumps(record, separators=(",", ":")))
-        self._file.write("\n")
+        self._file.write(_encode(record) + "\n")
         # Crash tolerance: flush per event so a killed process loses at
         # most the line it was writing — which :func:`read_tolerant`
         # then tolerates instead of rejecting the whole log.
@@ -359,8 +362,8 @@ class RotatingJsonlWriter:
     def write(self, record: dict) -> None:
         if self._file is None:
             raise ObservabilityError(f"writer for {self.path} already closed")
-        line = json.dumps(record, separators=(",", ":")) + "\n"
-        size = len(line.encode("utf-8"))
+        line = _encode(record) + "\n"
+        size = len(line)
         if self._part_records and self._part_bytes + size > self.max_bytes:
             self._file.close()
             self._open_part()
@@ -499,6 +502,13 @@ class EventSampler:
     Readers estimate thinned totals as ``count / rate``
     (:mod:`repro.obs.analyze` applies this scale correction when the
     header carries ``"sample"``).
+
+    The rule is written here alone, and applied in two places: a
+    :class:`~repro.obs.streaming.StreamingRecorder` asks
+    :meth:`keeps_txn`, :meth:`keeps_unsampled` and :meth:`keeps_sched`
+    *before* it builds a record, and :meth:`filter` (behind
+    :class:`SampledSink`) thins already-built records on a buffered
+    run's export.  Both write the same log.
     """
 
     #: Knuth's multiplicative-hash constant (2^32 / φ).
@@ -519,6 +529,17 @@ class EventSampler:
         """Whether ``txn_id`` is in the sampled subset."""
         return (txn_id * self._HASH) % self._MOD < self._threshold
 
+    @staticmethod
+    def keeps_unsampled(kind: str, tardiness: float) -> bool:
+        """Whether a record of an *unsampled* transaction passes anyway
+        (marked ``"sampled": false``): only a tardy completion does."""
+        return kind == "completion" and tardiness > 0.0
+
+    def keeps_sched(self) -> bool:
+        """Whether the next ``sched`` point is on the stride; counts it."""
+        self._sched_seen += 1
+        return (self._sched_seen - 1) % self._sched_stride == 0
+
     def filter(self, record: dict) -> dict | None:
         """The record to persist, or ``None`` to drop it."""
         if self.rate == 1.0:
@@ -528,28 +549,21 @@ class EventSampler:
             return record
         txn = record.get("txn")
         if txn is None:
-            if kind == "sched":
-                self._sched_seen += 1
-                if (self._sched_seen - 1) % self._sched_stride == 0:
-                    return record
-            return None
+            return record if kind == "sched" and self.keeps_sched() else None
         if self.keeps_txn(int(txn)):
             return record
-        if kind == "completion" and record.get("tardiness", 0.0) > 0.0:
-            kept = dict(record)
-            kept["sampled"] = False
-            return kept
+        if self.keeps_unsampled(kind, record.get("tardiness", 0.0)):
+            return dict(record, sampled=False)
         return None
 
 
 class SampledSink:
     """An :class:`EventSink` that thins records on their way to ``sink``.
 
-    The one sampling path for event logs: a streaming run writes through
-    it as it goes, and a buffered run's log is exported through it after
-    the run, so both produce the same records.  The ``run_start`` header
-    gains the keep rate (ahead of any window width); every other record
-    passes through ``sampler``.
+    A buffered run's log is exported through it after the run, and it
+    writes the same records a sampled streaming run writes as it goes.
+    The ``run_start`` header gains the keep rate (ahead of any window
+    width); every other record passes through ``sampler``.
     """
 
     __slots__ = ("sink", "sampler")

@@ -1,4 +1,4 @@
-"""The standard full-fidelity instrument, and the event-record builders.
+"""The standard full-fidelity instrument.
 
 :class:`Recorder` is a :class:`~repro.obs.streaming.StreamingRecorder`
 whose event sink is its own in-memory ``events`` list: one telemetry
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import pathlib
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 from repro.errors import ObservabilityError
 from repro.obs import jsonl
@@ -34,163 +34,7 @@ from repro.obs.streaming import StreamingRecorder
 from repro.obs.summary import RunReport
 from repro.obs.timeline import Timeline
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.transaction import Transaction
-
-__all__ = [
-    "Recorder",
-    "abort_record",
-    "arrival_record",
-    "completion_record",
-    "crash_record",
-    "dispatch_record",
-    "overhead_record",
-    "preempt_record",
-    "recover_record",
-    "retry_record",
-    "run_end_record",
-    "run_start_record",
-    "sched_record",
-    "shed_record",
-    "stall_record",
-]
-
-
-# ----------------------------------------------------------------------
-# Event-record builders.
-#
-# These define the one canonical dict shape per event kind (the schema
-# table in :mod:`repro.obs.jsonl`).  :class:`StreamingRecorder` builds
-# every record here, whether its sink is a file or a :class:`Recorder`'s
-# list, so a streamed log is byte-identical to a buffered one and
-# :mod:`repro.obs.analyze` reads either.
-# ----------------------------------------------------------------------
-def run_start_record(
-    schema: int, policy: str, n: int, servers: int
-) -> dict:
-    return {
-        "schema": schema,
-        "kind": "run_start",
-        "t": 0.0,
-        "policy": policy,
-        "n": n,
-        "servers": servers,
-    }
-
-
-def arrival_record(txn: "Transaction", now: float) -> dict:
-    record = {"kind": "arrival", "t": now, "txn": txn.txn_id}
-    if txn.depends_on:
-        record["deps"] = list(txn.depends_on)
-    return record
-
-
-def dispatch_record(txn: "Transaction", now: float, overhead: float) -> dict:
-    return {
-        "kind": "dispatch",
-        "t": now,
-        "txn": txn.txn_id,
-        "overhead": overhead,
-    }
-
-
-def preempt_record(txn: "Transaction", now: float) -> dict:
-    return {"kind": "preempt", "t": now, "txn": txn.txn_id}
-
-
-def overhead_record(txn: "Transaction", amount: float, now: float) -> dict:
-    return {"kind": "overhead", "t": now, "txn": txn.txn_id, "amount": amount}
-
-
-def completion_record(txn: "Transaction", now: float, tardiness: float) -> dict:
-    return {
-        "kind": "completion",
-        "t": now,
-        "txn": txn.txn_id,
-        "tardiness": tardiness,
-        "response_time": now - txn.arrival,
-    }
-
-
-def stall_record(txn: "Transaction", amount: float, now: float) -> dict:
-    return {"kind": "fault.stall", "t": now, "txn": txn.txn_id, "amount": amount}
-
-
-def abort_record(
-    txn: "Transaction", now: float, lost: float, attempt: int, exhausted: bool
-) -> dict:
-    record = {
-        "kind": "fault.abort",
-        "t": now,
-        "txn": txn.txn_id,
-        "lost": lost,
-        "attempt": attempt,
-    }
-    if exhausted:
-        record["exhausted"] = True
-    return record
-
-
-def retry_record(
-    txn: "Transaction", now: float, attempt: int, deadline: float
-) -> dict:
-    return {
-        "kind": "retry",
-        "t": now,
-        "txn": txn.txn_id,
-        "attempt": attempt,
-        "deadline": deadline,
-    }
-
-
-def crash_record(now: float, down: int) -> dict:
-    return {"kind": "fault.crash", "t": now, "down": down}
-
-
-def recover_record(now: float, down: int) -> dict:
-    return {"kind": "fault.recover", "t": now, "down": down}
-
-
-def shed_record(txn: "Transaction", now: float, reason: str) -> dict:
-    return {"kind": "shed", "t": now, "txn": txn.txn_id, "reason": reason}
-
-
-def sched_record(
-    now: float, ready: int, running: int, select_seconds: float
-) -> dict:
-    return {
-        "kind": "sched",
-        "t": now,
-        "ready": ready,
-        "running": running,
-        "select_s": select_seconds,
-    }
-
-
-def run_end_record(
-    now: float,
-    completed: int,
-    tardy: int,
-    aborted: int = 0,
-    shed: int = 0,
-    retries: int = 0,
-) -> dict:
-    record = {
-        "kind": "run_end",
-        "t": now,
-        "completed": completed,
-        "tardy": tardy,
-        "makespan": now,
-    }
-    # Additive schema-1 keys, present only when nonzero so a fault-free
-    # log stays byte-identical to the pre-fault format.
-    if aborted:
-        record["aborted"] = aborted
-    if shed:
-        record["shed"] = shed
-    if retries:
-        record["retries"] = retries
-    return record
+__all__ = ["Recorder"]
 
 
 class _EventLog(list):

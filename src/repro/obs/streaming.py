@@ -73,13 +73,29 @@ import sys
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from repro.errors import ObservabilityError
+from repro.obs.hooks import Instrument
+from repro.obs.jsonl import SCHEMA_VERSION, EventSampler
+from repro.obs.records import (
+    abort_record,
+    arrival_record,
+    completion_record,
+    crash_record,
+    dispatch_record,
+    overhead_record,
+    preempt_record,
+    recover_record,
+    retry_record,
+    run_end_record,
+    run_start_record,
+    sched_record,
+    shed_record,
+    stall_record,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.transaction import Transaction
     from repro.obs.jsonl import EventSink
     from repro.obs.summary import RunReport
-
-from repro.obs.hooks import Instrument
 
 __all__ = [
     "QuantileSketch",
@@ -954,7 +970,9 @@ class StreamingRecorder(Instrument):
     per-transaction or per-event state**.  Completions feed the run's
     :class:`RunTelemetry`; scheduling points feed the optional
     :class:`WindowAggregator`; and when a ``sink`` is given every event
-    record is written through it immediately (optionally sampled).
+    record is written to it immediately.  Under sampling the recorder
+    asks the :class:`~repro.obs.jsonl.EventSampler` before it builds a
+    record, so an event the log drops costs no record at all.
     :class:`~repro.obs.recorder.Recorder` is this class with its sink
     set to an in-memory event list.
 
@@ -972,8 +990,9 @@ class StreamingRecorder(Instrument):
     sample:
         Per-transaction event sampling rate in ``(0, 1]`` applied to the
         sink (head/tail-biased: see
-        :class:`~repro.obs.jsonl.EventSampler`).  Telemetry is always
-        exact — sampling only thins the persisted log.
+        :class:`~repro.obs.jsonl.EventSampler`).  Below 1 the header
+        carries ``"sample"``.  Telemetry is always exact — sampling
+        only thins the persisted log.
     topk:
         Capacity of the tardiness-culprit summary.
     """
@@ -996,13 +1015,7 @@ class StreamingRecorder(Instrument):
         self.telemetry = RunTelemetry(quantile_accuracy, topk=topk)
         self._window_width = window
         self._windows: WindowAggregator | None = None
-        self._sampler = None
-        if sample != 1.0:
-            from repro.obs.jsonl import EventSampler, SampledSink
-
-            self._sampler = EventSampler(sample)
-            if sink is not None:
-                sink = SampledSink(sink, self._sampler)
+        self._sampler = EventSampler(sample) if sample != 1.0 else None
         self._sink = sink
         self._policy = "?"
         self._n = 0
@@ -1021,11 +1034,21 @@ class StreamingRecorder(Instrument):
         self._stalls = 0
 
     def _tick(self, now: float) -> None:
+        windows = self._windows
+        # Most hooks land inside the open window: nothing to close.
+        if now < (windows._index + 1) * windows.width:
+            return
         # Window snapshots are aggregates: the sampler always keeps them.
-        assert self._windows is not None
-        for snapshot in self._windows.advance(now):
+        for snapshot in windows.advance(now):
             if self._sink is not None:
                 self._sink.write(snapshot)
+
+    def _logs(self, txn: "Transaction") -> bool:
+        """Whether ``txn``'s records reach the sink; asked before one is
+        built, so an unsampled transaction's events cost nothing."""
+        return self._sink is not None and (
+            self._sampler is None or self._sampler.keeps_txn(txn.txn_id)
+        )
 
     # ------------------------------------------------------------------
     # Instrument callbacks.
@@ -1045,12 +1068,11 @@ class StreamingRecorder(Instrument):
         if self._window_width is not None:
             self._windows = WindowAggregator(self._window_width, servers)
         if self._sink is not None:
-            from repro.obs import jsonl
-            from repro.obs.recorder import run_start_record
-
             header = run_start_record(
-                jsonl.SCHEMA_VERSION, policy_name, n_transactions, servers
+                SCHEMA_VERSION, policy_name, n_transactions, servers
             )
+            if self._sampler is not None:
+                header["sample"] = self._sampler.rate
             if self._window_width is not None:
                 header["window"] = self._window_width
             self._sink.write(header)
@@ -1060,32 +1082,24 @@ class StreamingRecorder(Instrument):
             self._tick(now)
             self._windows.observe_arrival()
         self.telemetry.arrivals += 1
-        if self._sink is not None:
-            from repro.obs.recorder import arrival_record
-
+        if self._logs(txn):
             self._sink.write(arrival_record(txn, now))
 
     def on_dispatch(self, txn: "Transaction", now: float, overhead: float) -> None:
         if self._windows is not None:
             self._tick(now)
         self._dispatches += 1
-        if self._sink is not None:
-            from repro.obs.recorder import dispatch_record
-
+        if self._logs(txn):
             self._sink.write(dispatch_record(txn, now, overhead))
 
     def on_preempt(self, txn: "Transaction", now: float) -> None:
         self.telemetry.preemptions += 1
-        if self._sink is not None:
-            from repro.obs.recorder import preempt_record
-
+        if self._logs(txn):
             self._sink.write(preempt_record(txn, now))
 
     def on_overhead(self, txn: "Transaction", amount: float, now: float) -> None:
         self._overhead_paid += amount
-        if self._sink is not None:
-            from repro.obs.recorder import overhead_record
-
+        if self._logs(txn):
             self._sink.write(overhead_record(txn, amount, now))
 
     def on_completion(self, txn: "Transaction", now: float) -> None:
@@ -1099,16 +1113,18 @@ class StreamingRecorder(Instrument):
         )
         if self._windows is not None:
             self._windows.observe_completion(tardiness)
-        if self._sink is not None:
-            from repro.obs.recorder import completion_record
-
+        if self._logs(txn):
             self._sink.write(completion_record(txn, now, tardiness))
+        elif self._sink is not None and EventSampler.keeps_unsampled(
+            "completion", tardiness
+        ):
+            record = completion_record(txn, now, tardiness)
+            record["sampled"] = False
+            self._sink.write(record)
 
     def on_stall(self, txn: "Transaction", amount: float, now: float) -> None:
         self._stalls += 1
-        if self._sink is not None:
-            from repro.obs.recorder import stall_record
-
+        if self._logs(txn):
             self._sink.write(stall_record(txn, amount, now))
 
     def on_abort(
@@ -1123,40 +1139,30 @@ class StreamingRecorder(Instrument):
             self._tick(now)
         if exhausted:
             self.telemetry.aborted += 1
-        if self._sink is not None:
-            from repro.obs.recorder import abort_record
-
+        if self._logs(txn):
             self._sink.write(abort_record(txn, now, lost, attempt, exhausted))
 
     def on_retry(
         self, txn: "Transaction", now: float, attempt: int, deadline: float
     ) -> None:
         self.telemetry.retries += 1
-        if self._sink is not None:
-            from repro.obs.recorder import retry_record
-
+        if self._logs(txn):
             self._sink.write(retry_record(txn, now, attempt, deadline))
 
     def on_crash(self, now: float, down: int) -> None:
         self._crashes += 1
         if self._sink is not None:
-            from repro.obs.recorder import crash_record
-
             self._sink.write(crash_record(now, down))
 
     def on_recover(self, now: float, down: int) -> None:
         if self._sink is not None:
-            from repro.obs.recorder import recover_record
-
             self._sink.write(recover_record(now, down))
 
     def on_shed(self, txn: "Transaction", now: float, reason: str) -> None:
         if self._windows is not None:
             self._tick(now)
         self.telemetry.shed += 1
-        if self._sink is not None:
-            from repro.obs.recorder import shed_record
-
+        if self._logs(txn):
             self._sink.write(shed_record(txn, now, reason))
 
     def on_scheduling_point(
@@ -1172,9 +1178,9 @@ class StreamingRecorder(Instrument):
         if self._windows is not None:
             self._tick(now)
             self._windows.observe_point(now, ready, running)
-        if self._sink is not None:
-            from repro.obs.recorder import sched_record
-
+        if self._sink is not None and (
+            self._sampler is None or self._sampler.keeps_sched()
+        ):
             self._sink.write(sched_record(now, ready, running, select_seconds))
 
     def on_run_end(self, now: float) -> None:
@@ -1186,8 +1192,6 @@ class StreamingRecorder(Instrument):
                 if self._sink is not None:
                     self._sink.write(snapshot)
         if self._sink is not None:
-            from repro.obs.recorder import run_end_record
-
             self._sink.write(
                 run_end_record(
                     now,
@@ -1274,7 +1278,7 @@ class StreamingRecorder(Instrument):
     ) -> "StreamingRecorder":
         """Rebuild a mid-run recorder; ``sink`` is the resumed writer.
 
-        Construction goes through ``__init__`` so the sampling sink is
+        Construction goes through ``__init__`` so the sampler is
         rebuilt from the restored configuration, then every accumulator
         is overwritten with the checkpointed values.
         """

@@ -12,10 +12,7 @@ pins each transaction to a dense index in **pool order** (the order the
 pool was handed to the engine — also the iteration order of the engine's
 ``_txns`` dict, which older scan code relied on) and keeps
 
-* flat ``array('d')`` columns of the *workload-static* hot fields
-  (arrival, submitted deadline, length, weight) — cache-friendly reads
-  for seeding and for future vectorized consumers (the SRPT-k roadmap
-  items), without touching the objects;
+* the ``ids`` and ``arrival`` columns that seed the event queue;
 * the **ready set** as a set of dense indices, maintained by the engine
   at the exact sites that previously incremented/decremented its ready
   counter.  ``ready_count`` is O(1) and
@@ -48,9 +45,6 @@ class TxnTable:
         "ids",
         "index_of",
         "arrival",
-        "deadline",
-        "length",
-        "weight",
         "_ready",
     )
 
@@ -61,12 +55,7 @@ class TxnTable:
         self.index_of: dict[int, int] = {
             txn.txn_id: i for i, txn in enumerate(self.txns)
         }
-        # Workload-static hot fields (submitted values; retries may move
-        # a transaction's *dynamic* deadline on the object, never here).
         self.arrival = array("d", (txn.arrival for txn in self.txns))
-        self.deadline = array("d", (txn.deadline for txn in self.txns))
-        self.length = array("d", (txn.length for txn in self.txns))
-        self.weight = array("d", (txn.weight for txn in self.txns))
         self._ready: set[int] = set()
 
     def reset(self) -> None:

@@ -2,6 +2,7 @@
 
 import json
 import pickle
+from array import array
 
 import pytest
 
@@ -17,6 +18,19 @@ from repro.experiments.config import PolicySpec
 from repro.experiments.runner import generate_workloads, run_policy_on
 from repro.obs import NullInstrument, Recorder
 from repro.workload.spec import WorkloadSpec
+
+
+class _V5Table:
+    """Pickles as a format-5 ``TxnTable``: three columns more than today's."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def __reduce__(self):
+        cls = type(self.table)
+        state = {name: getattr(self.table, name) for name in cls.__slots__}
+        state.update(deadline=array("d"), length=array("d"), weight=array("d"))
+        return object.__new__, (cls,), (None, state)
 
 
 @pytest.fixture
@@ -229,6 +243,30 @@ class TestValidation:
         )
         with pytest.raises(CheckpointError, match="checkpoint version 4"):
             load_checkpoint(path)
+
+    def test_v5_table_checkpoint_rejected_at_load(self, checkpoint_path):
+        # Format 5 pickled the SoA table with deadline/length/weight
+        # columns that today's TxnTable has no slots for: unpickling one
+        # fails with a bare AttributeError.  The header version must
+        # stop it at load instead.
+        assert CKPT_VERSION > 5
+        data = checkpoint_path.read_bytes()
+        end = data.index(b"\n", len(CKPT_MAGIC))
+        header = json.loads(data[len(CKPT_MAGIC) : end])
+        blob = pickle.loads(data[end + 1 :])
+        blob["core"]["_table"] = _V5Table(blob["core"]["_table"])
+        payload = pickle.dumps(blob)
+        with pytest.raises(AttributeError):
+            pickle.loads(payload)
+        header["version"] = 5
+        checkpoint_path.write_bytes(
+            CKPT_MAGIC
+            + json.dumps(header, separators=(",", ":")).encode()
+            + b"\n"
+            + payload
+        )
+        with pytest.raises(CheckpointError, match="checkpoint version 5"):
+            load_checkpoint(checkpoint_path)
 
     def test_instrument_without_state_cannot_checkpoint(self, tmp_path):
         workload = generate_workloads(

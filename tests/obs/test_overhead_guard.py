@@ -3,7 +3,7 @@
 The instrumentation layer's contract is that ``instrument=None`` (the
 default everywhere) keeps the hot path at pre-instrumentation cost: one
 ``is not None`` check per call site, no attribute lookups, no
-``perf_counter`` reads, no calls into ``repro.obs``.  Four guards:
+``perf_counter`` reads, no calls into ``repro.obs``.  Five guards:
 
 1. static — the engine source satisfies lint rules RL001 (``perf_counter``
    only inside an instrument-guarded branch) and RL006 (every hook call
@@ -20,6 +20,10 @@ default everywhere) keeps the hot path at pre-instrumentation cost: one
    path's work (every hook call site fires a no-op method), so the
    disabled path must not come out slower; this pins the "fast path"
    to the pre-hook code path's cost.
+5. line count — the same claim as 4, counted instead of timed: under
+   ``sys.settrace`` the ``instrument=None`` run executes no more engine
+   source lines than the :class:`NullInstrument` run.  Unlike a
+   wall-clock ratio it cannot be moved by host noise.
 """
 
 import sys
@@ -136,4 +140,40 @@ def test_disabled_run_within_5_percent_of_null_instrument_path():
     assert t_disabled <= t_null_object * 1.05, (
         f"instrument=None took {t_disabled:.4f}s, NullInstrument "
         f"{t_null_object:.4f}s — the disabled path must not be slower"
+    )
+
+
+def _engine_lines(workload, instrument):
+    """Source lines of ``repro/sim/engine.py`` executed by one run."""
+    engine_file = engine_mod.__file__
+    count = [0]
+
+    def local(frame, event, arg):
+        if event == "line":
+            count[0] += 1
+        return local
+
+    def tracer(frame, event, arg):
+        # Line events only in engine frames; other frames run untraced.
+        return local if frame.f_code.co_filename == engine_file else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        _run(workload, instrument)
+    finally:
+        sys.settrace(previous)
+    return count[0]
+
+
+def test_disabled_run_executes_no_more_engine_lines_than_null_instrument():
+    workload = generate(
+        WorkloadSpec(n_transactions=300, utilization=0.9), seed=11
+    )
+    disabled = _engine_lines(workload, None)
+    null_object = _engine_lines(workload, NullInstrument())
+    assert disabled > 0
+    assert disabled <= null_object, (
+        f"instrument=None executed {disabled} engine lines, NullInstrument "
+        f"{null_object} — the disabled path must not do more work"
     )

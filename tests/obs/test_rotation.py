@@ -46,6 +46,24 @@ class TestRotatingJsonlWriter:
             for line in part.read_text().splitlines():
                 json.loads(line)  # every line parses on its own
 
+    def test_part_byte_cursor_matches_disk_with_non_ascii(self, tmp_path):
+        # Rotation counts a line's bytes as its length, which holds only
+        # because the encoder escapes to ASCII; a non-ASCII reason pins it.
+        base = tmp_path / "events.jsonl"
+        records = list(_records(30))
+        records.insert(
+            5, {"kind": "shed", "t": 4.5, "txn": 99, "reason": "Überlast ✓"}
+        )
+        with RotatingJsonlWriter(base, max_bytes=128) as writer:
+            for record in records:
+                writer.write(record)
+                assert writer._part_bytes == writer.parts[-1].stat().st_size
+            assert len(writer.parts) > 2
+        texts = [part.read_bytes() for part in writer.parts]
+        assert all(text.isascii() for text in texts)
+        read_back = [json.loads(line) for text in texts for line in text.splitlines()]
+        assert read_back == records
+
     def test_single_part_when_under_limit(self, tmp_path):
         base = tmp_path / "events.jsonl"
         with RotatingJsonlWriter(base, max_bytes=10_000_000) as writer:
