@@ -74,7 +74,10 @@ CKPT_MAGIC = b"REPROCKPT\n"
 #: their old transaction heaps, which today's select path cannot read.
 #: Version 6: ``TxnTable`` keeps only its ``ids``/``arrival`` columns; a
 #: version-5 table carries ``deadline``/``length``/``weight`` slots.
-CKPT_VERSION = 6
+#: Version 7: ``RunTelemetry`` state keeps only its sketches, culprits
+#: and run summary; a version-6 state carries outcome counters, sums
+#: and moments that no longer exist, and lacks the summary.
+CKPT_VERSION = 7
 
 #: Keys every checkpoint header must carry.
 _HEADER_FIELDS = frozenset(

@@ -10,6 +10,10 @@ cross-checks three surfaces against it:
   ``repro.obs`` must name a registered kind, contain every required
   field of that kind (conditional ``record["f"] = ...`` additions in the
   same function count), and contain no undeclared field;
+* **builder stores** — a function returning such a literal is a
+  *builder* of its kind; ``x = builder(...)`` binds ``x`` to that kind,
+  so every ``x["f"] = ...`` store in the same function must name a
+  declared field of it;
 * **consumers** — code under ``repro.obs.analyze`` that indexes or
   ``.get``\\ s event-record fields may only read fields some emitter can
   produce; reads are resolved against the kind(s) the enclosing
@@ -219,7 +223,11 @@ def _conditional_fields(
     if var is None:
         return frozenset()
     scope: ast.AST = module.enclosing_function(node) or module.tree
-    out: set[str] = set()
+    return frozenset(field for _, field in _stores(scope, var))
+
+
+def _stores(scope: ast.AST, var: str) -> Iterator[tuple[ast.Assign, str]]:
+    """``(statement, field)`` for each ``var["field"] = ...`` in scope."""
     for stmt in ast.walk(scope):
         if not isinstance(stmt, ast.Assign):
             continue
@@ -231,8 +239,7 @@ def _conditional_fields(
                 and isinstance(target.slice, ast.Constant)
                 and isinstance(target.slice.value, str)
             ):
-                out.add(target.slice.value)
-    return frozenset(out)
+                yield stmt, target.slice.value
 
 
 def _emit_sites(module: ModuleContext) -> Iterator[_EmitSite]:
@@ -255,6 +262,39 @@ def _emit_sites(module: ModuleContext) -> Iterator[_EmitSite]:
                 exact = False
         fields |= _conditional_fields(module, node)
         yield _EmitSite(module, node, kind, frozenset(fields), exact)
+
+
+def _builders(module: ModuleContext) -> dict[str, str]:
+    """Module-level functions building records of one kind: name -> kind."""
+    out: dict[str, str] = {}
+    for func in module.tree.body:
+        if isinstance(func, ast.FunctionDef):
+            kinds = {
+                _literal_kind(node)
+                for node in ast.walk(func)
+                if isinstance(node, ast.Dict)
+            } - {None}
+            if len(kinds) == 1:
+                out[func.name] = kinds.pop()
+    return out
+
+
+def _builder_stores(
+    module: ModuleContext, builders: dict[str, str]
+) -> Iterator[tuple[ast.Assign, str, str]]:
+    """``(statement, builder, field)`` for each ``x["field"] = ...`` in
+    a function that binds ``x = builder(...)``."""
+    for func in module.walk():
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                callee = node.value.func
+                name = getattr(callee, "id", getattr(callee, "attr", None))
+                for target in node.targets:
+                    if name in builders and isinstance(target, ast.Name):
+                        for stmt, field_name in _stores(func, target.id):
+                            yield stmt, name, field_name
 
 
 # ----------------------------------------------------------------------
@@ -416,13 +456,21 @@ class EventSchemaContracts(ProjectRule):
         )
         emitted: set[str] = set()
         have_emitters = True
+        emitters = [
+            module
+            for module in project.modules
+            if module.in_package(EMIT_SCOPE)
+            and not module.in_package(CONSUMER_SCOPE)
+        ]
+        builders: dict[str, str] = {}
+        for module in emitters:
+            builders.update(_builders(module))
         for module in project.modules:
-            if module.in_package(EMIT_SCOPE) and not module.in_package(
-                CONSUMER_SCOPE
-            ):
+            if module in emitters:
                 for site in _emit_sites(module):
                     emitted.add(site.kind)
                     findings.extend(self._check_emit(site, registry))
+                findings.extend(self._check_stores(module, builders, registry))
             if module.in_package(CONSUMER_SCOPE):
                 findings.extend(self._check_consumers(module, registry))
         for name in (f"{EMIT_SCOPE}.records", f"{EMIT_SCOPE}.streaming"):
@@ -512,6 +560,24 @@ class EventSchemaContracts(ProjectRule):
                     f"emit of '{site.kind}' carries undeclared field(s) "
                     f"{sorted(undeclared)}; add them to EVENT_SCHEMAS "
                     "(additive) or drop them",
+                )
+
+    def _check_stores(
+        self,
+        module: ModuleContext,
+        builders: dict[str, str],
+        registry: dict[str, _Schema],
+    ) -> Iterator[Finding]:
+        for node, builder, field_name in _builder_stores(module, builders):
+            kind = builders[builder]
+            schema = registry.get(kind)  # unregistered: flagged at the literal
+            if schema and field_name not in schema.all_fields | UNIVERSAL_FIELDS:
+                yield self.finding(
+                    module,
+                    node,
+                    f"store of undeclared field '{field_name}' on the "
+                    f"'{kind}' record {builder}() builds; add it to "
+                    "EVENT_SCHEMAS (additive) or drop it",
                 )
 
     def _check_consumers(

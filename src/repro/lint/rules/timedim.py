@@ -86,7 +86,7 @@ HOOK_SIGNATURES: dict[str, tuple[frozenset[int], frozenset[str]]] = {
     "abort_record": (frozenset(), frozenset({"now"})),
     "retry_record": (frozenset(), frozenset({"now"})),
     "sched_record": (frozenset(), frozenset({"now"})),
-    "run_end_record": (frozenset(), frozenset({"now"})),
+    "run_end_record": (frozenset({0}), frozenset({"now"})),
     "advance": (frozenset({0}), frozenset({"now"})),
     "observe_point": (frozenset({0}), frozenset({"now"})),
     "feasible_at": (frozenset({2}), frozenset({"now"})),

@@ -4,15 +4,17 @@ The paper reports means and maxima; real deployments care about the tail
 in between (p95/p99 latency SLOs).  These helpers extend the metric
 vocabulary without touching the core definitions, and power the
 tail-analysis benchmark.  They read each record's own ``tardiness`` and
-``weighted_tardiness`` (:class:`~repro.sim.results.TransactionRecord`),
-so an aborted or shed record carries zero tardiness here, as it does in
-the run's totals.
+``weighted_tardiness`` (:class:`~repro.sim.results.TransactionRecord`)
+over **completed** records only: the population of Definition 4's
+averages and of the streaming tardiness sketch.  An aborted or shed
+record is an outcome count, not a zero sample; without faults every
+record is completed.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.errors import SimulationError
 
@@ -50,25 +52,31 @@ def percentile(values: Iterable[float], q: float) -> float:
     return data[low] * (1 - frac) + data[high] * frac
 
 
+def _completed(
+    records: Iterable[TransactionRecord],
+) -> Iterator[TransactionRecord]:
+    return (r for r in records if r.outcome == "completed")
+
+
 def tardiness_percentile(
     records: Iterable[TransactionRecord], q: float
 ) -> float:
-    """Percentile of the per-transaction tardiness distribution."""
-    return percentile((r.tardiness for r in records), q)
+    """Percentile of the completed transactions' tardiness."""
+    return percentile((r.tardiness for r in _completed(records)), q)
 
 
 def weighted_tardiness_percentile(
     records: Iterable[TransactionRecord], q: float
 ) -> float:
-    """Percentile of the per-transaction *weighted* tardiness distribution."""
-    return percentile((r.weighted_tardiness for r in records), q)
+    """Percentile of the completed transactions' *weighted* tardiness."""
+    return percentile((r.weighted_tardiness for r in _completed(records)), q)
 
 
 def tardiness_histogram(
     records: Iterable[TransactionRecord],
     bin_edges: Sequence[float],
 ) -> list[int]:
-    """Counts of tardiness values per bin.
+    """Counts of the completed transactions' tardiness values per bin.
 
     ``bin_edges`` must be strictly increasing; the result has
     ``len(bin_edges) + 1`` entries — the first counts values below the
@@ -80,7 +88,7 @@ def tardiness_histogram(
     if any(b <= a for a, b in zip(edges, edges[1:])):
         raise SimulationError(f"bin edges must be increasing: {edges}")
     counts = [0] * (len(edges) + 1)
-    for record in records:
+    for record in _completed(records):
         value = record.tardiness
         index = 0
         while index < len(edges) and value >= edges[index]:

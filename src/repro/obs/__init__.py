@@ -12,7 +12,7 @@ opens the black box.  It provides:
   running tardiness at every scheduling point;
 * :mod:`repro.obs.summary` — the per-run :class:`RunReport`;
 * :mod:`repro.obs.streaming` — the one telemetry core: mergeable
-  quantile sketches, streaming moments, top-k culprits, tumbling-window
+  quantile sketches, top-k culprits, tumbling-window
   time-series and the :class:`StreamingRecorder` instrument that keeps a
   10\\ :sup:`6`-transaction run in bounded memory;
 * :mod:`repro.obs.records` — the event-record builders, one canonical
@@ -70,7 +70,6 @@ from repro.obs.recorder import Recorder
 from repro.obs.streaming import (
     QuantileSketch,
     RunTelemetry,
-    StreamingMoments,
     StreamingRecorder,
     TopK,
     WindowAggregator,
@@ -97,7 +96,6 @@ __all__ = [
     "StreamingRecorder",
     "RunTelemetry",
     "QuantileSketch",
-    "StreamingMoments",
     "TopK",
     "WindowAggregator",
     "Heartbeat",

@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.transaction import Transaction
+    from repro.sim.results import StreamSummary
 
 __all__ = ["Instrument", "NullInstrument", "MultiInstrument"]
 
@@ -123,8 +124,12 @@ class Instrument:
             policy was never consulted).
         """
 
-    def on_run_end(self, now: float) -> None:
-        """The last transaction completed at simulated time ``now``."""
+    def on_run_end(self, now: float, summary: "StreamSummary") -> None:
+        """The last transaction finished at simulated time ``now``.
+
+        ``summary`` is the run's one tally of outcomes (Definitions 3-5
+        and the outcome counts), the same object the result reads;
+        instruments report from it instead of counting again."""
 
 
 class NullInstrument(Instrument):
@@ -214,6 +219,6 @@ class MultiInstrument(Instrument):
         for ins in self.instruments:
             ins.on_scheduling_point(now, ready, running, select_seconds)
 
-    def on_run_end(self, now: float) -> None:
+    def on_run_end(self, now: float, summary: "StreamSummary") -> None:
         for ins in self.instruments:
-            ins.on_run_end(now)
+            ins.on_run_end(now, summary)

@@ -49,7 +49,8 @@ Two additive schema-1 extensions support constant-memory streaming
 * ``window.snapshot`` records — one per closed tumbling window, carrying
   ``window``, ``start``, ``end``, ``arrivals``, ``completions``,
   ``tardy``, ``miss_rate``, ``throughput``, ``tardiness``,
-  ``utilization``, ``queue_max``, ``queue_mean`` [+ ``partial``];
+  ``utilization``, ``queue_max``, ``queue_mean`` [+ ``partial``]; the
+  header of a windowed log gains ``"window": w`` (the window width);
 * sampled logs — the header gains ``"sample": r`` (the per-transaction
   keep rate) and completions of *unsampled* tardy transactions are still
   written, marked ``"sampled": false``, so tardy counts and tardiness
@@ -151,7 +152,7 @@ class EventSchema:
 EVENT_SCHEMAS: dict[str, EventSchema] = {
     "run_start": EventSchema(
         required=frozenset({"schema", "kind", "t", "policy", "n", "servers"}),
-        optional=frozenset({"sample"}),
+        optional=frozenset({"sample", "window"}),
     ),
     "arrival": EventSchema(
         required=frozenset({"kind", "t", "txn"}),

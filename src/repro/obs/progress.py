@@ -32,9 +32,11 @@ from typing import IO, TYPE_CHECKING
 
 from repro.errors import ObservabilityError
 from repro.obs.hooks import Instrument
+from repro.sim.results import tardiness
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.transaction import Transaction
+    from repro.sim.results import StreamSummary
 
 __all__ = ["Heartbeat", "SweepHeartbeat", "DEFAULT_INTERVAL"]
 
@@ -87,7 +89,7 @@ class Heartbeat(Instrument):
 
     def on_completion(self, txn: "Transaction", now: float) -> None:
         self._completed += 1
-        if now > txn.deadline:
+        if tardiness(now, txn.deadline) > 0.0:
             self._tardy += 1
 
     def on_scheduling_point(
@@ -108,17 +110,20 @@ class Heartbeat(Instrument):
         )
         self._out.flush()
 
-    def on_run_end(self, now: float) -> None:
+    def on_run_end(self, now: float, summary: "StreamSummary") -> None:
         # A final line so short runs (quieter than one interval) still
         # confirm liveness — but only if at least one beat fired or the
-        # run outlived the interval; a fast run stays silent.
+        # run outlived the interval; a fast run stays silent.  Its
+        # counts are the run's summary, so a resumed run reports the
+        # whole run, not only the completions this heartbeat saw.
         wall = perf_counter()
         if self.beats == 0 and wall - self._started_at < self.interval:
             return
         elapsed = max(wall - self._started_at, 1e-9)
-        miss = self._tardy / self._completed if self._completed else 0.0
+        completed = summary.completed
+        miss = summary.tardy / completed if completed else 0.0
         self._out.write(
-            f"[hb] done t={now:.1f} completed={self._completed}/{self._n} "
+            f"[hb] done t={now:.1f} completed={completed}/{summary.n} "
             f"rate={self._completed / elapsed:.0f}/s miss={miss:.1%} "
             f"wall={elapsed:.1f}s\n"
         )

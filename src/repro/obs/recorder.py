@@ -2,8 +2,9 @@
 
 :class:`Recorder` is a :class:`~repro.obs.streaming.StreamingRecorder`
 whose event sink is its own in-memory ``events`` list: one telemetry
-core (:class:`~repro.obs.streaming.RunTelemetry`) answers every
-aggregate, and the retained log — one dict per engine event, in the
+core (:class:`~repro.obs.streaming.RunTelemetry`, with the run's
+:class:`~repro.sim.results.StreamSummary`) answers every aggregate,
+and the retained log — one dict per engine event, in the
 schema-versioned JSONL format of :mod:`repro.obs.jsonl` — answers the
 rest.  ``select_samples`` (per-point ``select()`` wall-times) and
 ``timeline`` (a :class:`~repro.obs.timeline.Timeline` of ready-queue

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.transaction import Transaction
+    from repro.sim.results import StreamSummary
 
 __all__ = [
     "abort_record",
@@ -137,27 +138,20 @@ def sched_record(
     }
 
 
-def run_end_record(
-    now: float,
-    completed: int,
-    tardy: int,
-    aborted: int = 0,
-    shed: int = 0,
-    retries: int = 0,
-) -> dict:
+def run_end_record(now: float, summary: "StreamSummary") -> dict:
     record = {
         "kind": "run_end",
         "t": now,
-        "completed": completed,
-        "tardy": tardy,
+        "completed": summary.completed,
+        "tardy": summary.tardy,
         "makespan": now,
     }
     # Additive schema-1 keys, present only when nonzero so a fault-free
     # log stays byte-identical to the pre-fault format.
-    if aborted:
-        record["aborted"] = aborted
-    if shed:
-        record["shed"] = shed
-    if retries:
-        record["retries"] = retries
+    if summary.aborted:
+        record["aborted"] = summary.aborted
+    if summary.shed:
+        record["shed"] = summary.shed
+    if summary.retries:
+        record["retries"] = summary.retries
     return record

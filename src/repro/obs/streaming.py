@@ -21,14 +21,6 @@ per-transaction record:
     byte-identical (:meth:`QuantileSketch.as_dict`) to single-stream
     ingestion, in any merge order or grouping.
 
-:class:`StreamingMoments`
-    Welford's online mean/variance, merged with the Chan et al.
-    parallel-variance formula.  The merge is mathematically associative;
-    floating-point rounding makes different merge *groupings* differ in
-    the last ulps, so deterministic pipelines must merge in a fixed
-    order (``repro.experiments.parallel`` merges in grid order, which is
-    why ``jobs=N`` telemetry is byte-identical to ``jobs=1``).
-
 :class:`TopK`
     A weighted Misra–Gries heavy-hitters summary ("count-min-free":
     no hashing, no probabilistic collisions) for the largest tardiness
@@ -47,8 +39,10 @@ per-transaction record:
     scheduling point.
 
 :class:`RunTelemetry`
-    The per-run bundle of all of the above, with an associative
-    :meth:`RunTelemetry.merge` used by the parallel sweep harness.
+    The per-run bundle of the two sketches and the culprits, beside the
+    run's :class:`~repro.sim.results.StreamSummary` (every count, total
+    and maximum), with a :meth:`RunTelemetry.merge` the parallel sweep
+    harness applies in grid order.
 
 :class:`StreamingRecorder`
     An :class:`~repro.obs.hooks.Instrument` maintaining a
@@ -70,6 +64,7 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import asdict
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from repro.errors import ObservabilityError
@@ -91,15 +86,16 @@ from repro.obs.records import (
     shed_record,
     stall_record,
 )
+from repro.sim.results import tardiness
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.transaction import Transaction
     from repro.obs.jsonl import EventSink
     from repro.obs.summary import RunReport
+    from repro.sim.results import StreamSummary
 
 __all__ = [
     "QuantileSketch",
-    "StreamingMoments",
     "TopK",
     "WindowAggregator",
     "RunTelemetry",
@@ -138,6 +134,10 @@ class QuantileSketch:
     All counts are integers, so :meth:`merge` (bucket-wise addition) is
     exactly associative and commutative and :meth:`as_dict` of merged
     shards is byte-identical to single-stream ingestion.
+
+    A run's :class:`RunTelemetry` feeds its sketches one sample per
+    *completed* transaction: the population of Definition 4's averages
+    and of :mod:`repro.metrics.distributions`.
 
     Examples
     --------
@@ -222,8 +222,8 @@ class QuantileSketch:
     @property
     def sum(self) -> float:
         """Bucket-reconstructed sum; within relative ``α`` of the exact
-        sum when all values share a sign (exact totals come from
-        :class:`StreamingMoments`, which tracks them online)."""
+        sum when all values share a sign (a run's exact totals are its
+        :class:`~repro.sim.results.StreamSummary`)."""
         total = 0.0
         for key in sorted(self._negative):
             total -= self._estimate(key) * self._negative[key]
@@ -347,129 +347,6 @@ class QuantileSketch:
             f"QuantileSketch(alpha={self.relative_accuracy}, "
             f"count={self.count}, buckets="
             f"{len(self._positive) + len(self._negative) + bool(self._zero)})"
-        )
-
-
-class StreamingMoments:
-    """Welford online mean/variance with the Chan et al. parallel merge.
-
-    ``mean`` and ``variance`` are exact up to floating-point rounding;
-    memory is O(1) regardless of stream length.  The merge is
-    associative mathematically; merge in a fixed order when byte
-    determinism matters (the sweep harness does).
-
-    Examples
-    --------
-    >>> m = StreamingMoments()
-    >>> for v in (1.0, 2.0, 3.0, 4.0):
-    ...     m.add(v)
-    >>> m.mean, m.variance
-    (2.5, 1.25)
-    """
-
-    __slots__ = ("count", "mean", "_m2", "_min", "_max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
-
-    @property
-    def variance(self) -> float:
-        """Population variance (0.0 on fewer than two samples)."""
-        return self._m2 / self.count if self.count > 1 else 0.0
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
-    @property
-    def total(self) -> float:
-        return self.mean * self.count
-
-    @property
-    def min(self) -> float:
-        return self._min if self.count else 0.0
-
-    @property
-    def max(self) -> float:
-        return self._max if self.count else 0.0
-
-    def merge(self, other: "StreamingMoments") -> None:
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self.mean = other.mean
-            self._m2 = other._m2
-            self._min = other._min
-            self._max = other._max
-            return
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self._m2 = (
-            self._m2
-            + other._m2
-            + delta * delta * self.count * other.count / total
-        )
-        self.mean += delta * other.count / total
-        self.count = total
-        if other._min < self._min:
-            self._min = other._min
-        if other._max > self._max:
-            self._max = other._max
-
-    def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "variance": self.variance,
-            "min": self.min,
-            "max": self.max,
-        }
-
-    def to_state(self) -> dict:
-        """Checkpoint state: the *raw* accumulator fields.
-
-        Unlike :meth:`as_dict` (which reports the derived ``variance``
-        and the empty-safe min/max), this captures ``_m2`` and the raw
-        sentinels directly so a restored instance continues the Welford
-        recurrence bit-for-bit.
-        """
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "m2": self._m2,
-            "min": self._min,
-            "max": self._max,
-        }
-
-    @classmethod
-    def from_state(cls, state: Mapping) -> "StreamingMoments":
-        moments = cls()
-        moments.count = int(state["count"])
-        moments.mean = float(state["mean"])
-        moments._m2 = float(state["m2"])
-        moments._min = float(state["min"])
-        moments._max = float(state["max"])
-        return moments
-
-    def __repr__(self) -> str:
-        return (
-            f"StreamingMoments(count={self.count}, mean={self.mean:g}, "
-            f"stddev={self.stddev:g})"
         )
 
 
@@ -771,40 +648,24 @@ class WindowAggregator:
 class RunTelemetry:
     """The constant-memory telemetry bundle of one (or many merged) runs.
 
-    Carries quantile sketches for tardiness and response time, exact
-    moments for both, plain running sums behind the totals and averages
-    (added left to right, as a ``sum()`` over the completions in order
-    would), a Misra–Gries summary of the heaviest tardiness
-    contributors ("blame culprits"), and exact integer outcome counts.
-    :meth:`merge` folds another run's telemetry in; the parallel sweep
-    harness merges per-cell telemetry in grid order, which makes
-    ``jobs=N`` output byte-identical to ``jobs=1``
-    (:meth:`as_dict` compares equal, key for key).
+    Carries what a :class:`~repro.sim.results.StreamSummary` cannot
+    hold: quantile sketches of tardiness and response time over
+    completed work, and a Misra–Gries summary of the heaviest tardiness
+    contributors ("blame culprits").  Every count, total and maximum is
+    ``summary``, the run's one tally, which the engine hands over at
+    run end (``None`` until then).  :meth:`merge` folds another run's
+    telemetry in; the parallel sweep harness merges per-cell telemetry
+    in grid order, which makes ``jobs=N`` output byte-identical to
+    ``jobs=1`` (:meth:`as_dict` compares equal, key for key).
     """
 
-    #: The plain counters and sums, checkpointed as they stand.
-    _SCALARS = (
-        "arrivals",
-        "completed",
-        "tardy",
-        "aborted",
-        "shed",
-        "retries",
-        "preemptions",
-        "tardiness_total",
-        "response_total",
-        "weighted_total",
-        "weighted_max",
-        "makespan",
-    )
     __slots__ = (
         "quantile_accuracy",
         "tardiness",
         "response",
-        "tardiness_moments",
-        "response_moments",
         "culprits",
-    ) + _SCALARS
+        "summary",
+    )
 
     def __init__(
         self, quantile_accuracy: float = 0.01, topk: int = 16
@@ -812,116 +673,37 @@ class RunTelemetry:
         self.quantile_accuracy = quantile_accuracy
         self.tardiness = QuantileSketch(quantile_accuracy)
         self.response = QuantileSketch(quantile_accuracy)
-        self.tardiness_moments = StreamingMoments()
-        self.response_moments = StreamingMoments()
         self.culprits = TopK(topk)
-        self.arrivals = 0
-        self.completed = 0
-        self.tardy = 0
-        self.aborted = 0
-        self.shed = 0
-        self.retries = 0
-        self.preemptions = 0
-        self.tardiness_total = 0.0
-        self.response_total = 0.0
-        self.weighted_total = 0.0
-        self.weighted_max = 0.0
-        self.makespan = 0.0
+        self.summary: StreamSummary | None = None
 
-    # ------------------------------------------------------------------
-    # Ingestion.
-    # ------------------------------------------------------------------
     def observe_completion(
-        self, txn_id: int, tardiness: float, response: float, weight: float
+        self, txn_id: int, tardiness: float, response: float
     ) -> None:
-        self.completed += 1
         self.tardiness.add(tardiness)
         self.response.add(response)
-        self.tardiness_moments.add(tardiness)
-        self.response_moments.add(response)
-        self.tardiness_total += tardiness
-        self.response_total += response
-        weighted = tardiness * weight
-        self.weighted_total += weighted
-        if weighted > self.weighted_max:
-            self.weighted_max = weighted
-        if tardiness > 0.0:
-            self.tardy += 1
-            self.culprits.add(txn_id, tardiness)
-
-    # ------------------------------------------------------------------
-    # Scalars (mirror :class:`~repro.sim.results.SimulationResult`).
-    # ------------------------------------------------------------------
-    @property
-    def average_tardiness(self) -> float:
-        """Definition 4 over completed work (exact: a running sum)."""
-        return self.tardiness_total / max(1, self.completed)
-
-    @property
-    def average_weighted_tardiness(self) -> float:
-        return self.weighted_total / max(1, self.completed)
-
-    @property
-    def max_tardiness(self) -> float:
-        return self.tardiness_moments.max
-
-    @property
-    def max_weighted_tardiness(self) -> float:
-        return self.weighted_max
-
-    @property
-    def total_tardiness(self) -> float:
-        return self.tardiness_total
-
-    @property
-    def average_response_time(self) -> float:
-        return self.response_total / max(1, self.completed)
-
-    @property
-    def deadline_miss_ratio(self) -> float:
-        return self.tardy / self.completed if self.completed else 0.0
+        self.culprits.add(txn_id, tardiness)
 
     def merge(self, other: "RunTelemetry") -> None:
-        """Fold another run's telemetry in (fixed-order merging gives
-        byte-identical results; sketch parts are order-independent)."""
+        """Fold another run's telemetry in: sketches and culprits merge,
+        summaries add (:meth:`~repro.sim.results.StreamSummary.merge`),
+        so a fixed merge order gives byte-identical results."""
         self.tardiness.merge(other.tardiness)
         self.response.merge(other.response)
-        self.tardiness_moments.merge(other.tardiness_moments)
-        self.response_moments.merge(other.response_moments)
         self.culprits.merge(other.culprits)
-        self.arrivals += other.arrivals
-        self.completed += other.completed
-        self.tardy += other.tardy
-        self.aborted += other.aborted
-        self.shed += other.shed
-        self.retries += other.retries
-        self.preemptions += other.preemptions
-        self.tardiness_total += other.tardiness_total
-        self.response_total += other.response_total
-        self.weighted_total += other.weighted_total
-        if other.weighted_max > self.weighted_max:
-            self.weighted_max = other.weighted_max
-        if other.makespan > self.makespan:
-            self.makespan = other.makespan
+        if self.summary is None:
+            self.summary = other.summary
+        elif other.summary is not None:
+            self.summary = self.summary.merge(other.summary)
 
     def as_dict(self) -> dict:
         """JSON-ready snapshot; the unit of byte-identity tests."""
         return {
             "quantile_accuracy": self.quantile_accuracy,
-            "arrivals": self.arrivals,
-            "completed": self.completed,
-            "tardy": self.tardy,
-            "aborted": self.aborted,
-            "shed": self.shed,
-            "retries": self.retries,
-            "preemptions": self.preemptions,
-            "weighted_total": self.weighted_total,
-            "weighted_max": self.weighted_max,
-            "makespan": self.makespan,
+            "summary": (
+                None if self.summary is None else asdict(self.summary)
+            ),
             "tardiness": self.tardiness.as_dict(),
             "response": self.response.as_dict(),
-            "tardiness_moments": self.tardiness_moments.as_dict(),
-            "response_moments": self.response_moments.as_dict(),
             "culprits": self.culprits.as_dict(),
         }
 
@@ -932,10 +714,8 @@ class RunTelemetry:
             "topk_capacity": self.culprits.capacity,
             "tardiness": self.tardiness.to_state(),
             "response": self.response.to_state(),
-            "tardiness_moments": self.tardiness_moments.to_state(),
-            "response_moments": self.response_moments.to_state(),
             "culprits": self.culprits.to_state(),
-            **_scalar_state(self, self._SCALARS),
+            "summary": self.summary,
         }
 
     @classmethod
@@ -946,19 +726,13 @@ class RunTelemetry:
         )
         telemetry.tardiness = QuantileSketch.from_state(state["tardiness"])
         telemetry.response = QuantileSketch.from_state(state["response"])
-        telemetry.tardiness_moments = StreamingMoments.from_state(
-            state["tardiness_moments"]
-        )
-        telemetry.response_moments = StreamingMoments.from_state(
-            state["response_moments"]
-        )
         telemetry.culprits = TopK.from_state(state["culprits"])
-        _restore_scalars(telemetry, state, cls._SCALARS)
+        telemetry.summary = state["summary"]
         return telemetry
 
     def __repr__(self) -> str:
         return (
-            f"RunTelemetry(completed={self.completed}, tardy={self.tardy}, "
+            f"RunTelemetry(completed={self.tardiness.count}, "
             f"p99_tardiness={self.tardiness.quantile(0.99):g})"
         )
 
@@ -968,9 +742,11 @@ class StreamingRecorder(Instrument):
 
     The one telemetry core of :mod:`repro.obs`: it retains **no
     per-transaction or per-event state**.  Completions feed the run's
-    :class:`RunTelemetry`; scheduling points feed the optional
+    :class:`RunTelemetry` sketches; scheduling points feed the optional
     :class:`WindowAggregator`; and when a ``sink`` is given every event
-    record is written to it immediately.  Under sampling the recorder
+    record is written to it immediately.  Hooks count no outcomes: the
+    engine's :class:`~repro.sim.results.StreamSummary`, handed over in
+    :meth:`on_run_end`, is the run's one tally.  Under sampling the recorder
     asks the :class:`~repro.obs.jsonl.EventSampler` before it builds a
     record, so an event the log drops costs no record at all.
     :class:`~repro.obs.recorder.Recorder` is this class with its sink
@@ -999,9 +775,9 @@ class StreamingRecorder(Instrument):
 
     #: The run's scalar accumulators, checkpointed as they stand.
     _SCALARS = (
-        "_policy", "_n", "_servers", "_started", "_finished", "_end_time",
-        "_sched_points", "_select_total", "_select_max", "_dispatches",
-        "_overhead_paid", "_max_ready", "_ready_sum", "_crashes", "_stalls",
+        "_policy", "_n", "_servers", "_started", "_sched_points",
+        "_select_total", "_select_max", "_dispatches", "_overhead_paid",
+        "_max_ready", "_ready_sum", "_crashes", "_stalls",
     )
 
     def __init__(
@@ -1021,8 +797,6 @@ class StreamingRecorder(Instrument):
         self._n = 0
         self._servers = 1
         self._started = False
-        self._finished = False
-        self._end_time = 0.0
         self._sched_points = 0
         self._select_total = 0.0
         self._select_max = 0.0
@@ -1081,7 +855,6 @@ class StreamingRecorder(Instrument):
         if self._windows is not None:
             self._tick(now)
             self._windows.observe_arrival()
-        self.telemetry.arrivals += 1
         if self._logs(txn):
             self._sink.write(arrival_record(txn, now))
 
@@ -1093,7 +866,6 @@ class StreamingRecorder(Instrument):
             self._sink.write(dispatch_record(txn, now, overhead))
 
     def on_preempt(self, txn: "Transaction", now: float) -> None:
-        self.telemetry.preemptions += 1
         if self._logs(txn):
             self._sink.write(preempt_record(txn, now))
 
@@ -1105,20 +877,16 @@ class StreamingRecorder(Instrument):
     def on_completion(self, txn: "Transaction", now: float) -> None:
         if self._windows is not None:
             self._tick(now)
-        tardiness = now - txn.deadline
-        if tardiness < 0.0:
-            tardiness = 0.0
-        self.telemetry.observe_completion(
-            txn.txn_id, tardiness, now - txn.arrival, txn.weight
-        )
+        late = tardiness(now, txn.deadline)
+        self.telemetry.observe_completion(txn.txn_id, late, now - txn.arrival)
         if self._windows is not None:
-            self._windows.observe_completion(tardiness)
+            self._windows.observe_completion(late)
         if self._logs(txn):
-            self._sink.write(completion_record(txn, now, tardiness))
+            self._sink.write(completion_record(txn, now, late))
         elif self._sink is not None and EventSampler.keeps_unsampled(
-            "completion", tardiness
+            "completion", late
         ):
-            record = completion_record(txn, now, tardiness)
+            record = completion_record(txn, now, late)
             record["sampled"] = False
             self._sink.write(record)
 
@@ -1137,15 +905,12 @@ class StreamingRecorder(Instrument):
     ) -> None:
         if self._windows is not None:
             self._tick(now)
-        if exhausted:
-            self.telemetry.aborted += 1
         if self._logs(txn):
             self._sink.write(abort_record(txn, now, lost, attempt, exhausted))
 
     def on_retry(
         self, txn: "Transaction", now: float, attempt: int, deadline: float
     ) -> None:
-        self.telemetry.retries += 1
         if self._logs(txn):
             self._sink.write(retry_record(txn, now, attempt, deadline))
 
@@ -1161,7 +926,6 @@ class StreamingRecorder(Instrument):
     def on_shed(self, txn: "Transaction", now: float, reason: str) -> None:
         if self._windows is not None:
             self._tick(now)
-        self.telemetry.shed += 1
         if self._logs(txn):
             self._sink.write(shed_record(txn, now, reason))
 
@@ -1183,34 +947,26 @@ class StreamingRecorder(Instrument):
         ):
             self._sink.write(sched_record(now, ready, running, select_seconds))
 
-    def on_run_end(self, now: float) -> None:
-        self._finished = True
-        self._end_time = now
-        self.telemetry.makespan = now
+    def on_run_end(self, now: float, summary: "StreamSummary") -> None:
+        self.telemetry.summary = summary
         if self._windows is not None:
             for snapshot in self._windows.finish(now):
                 if self._sink is not None:
                     self._sink.write(snapshot)
         if self._sink is not None:
-            self._sink.write(
-                run_end_record(
-                    now,
-                    completed=self.telemetry.completed,
-                    tardy=self.telemetry.tardy,
-                    aborted=self.telemetry.aborted,
-                    shed=self.telemetry.shed,
-                    retries=self.telemetry.retries,
-                )
-            )
+            self._sink.write(run_end_record(now, summary))
 
     # ------------------------------------------------------------------
     # Products.
     # ------------------------------------------------------------------
     def report(self) -> "RunReport":
-        """Condense the run into a quantile-bearing :class:`RunReport`."""
-        if not self._started:
+        """Condense the run into a quantile-bearing :class:`RunReport`:
+        outcomes from the run's summary, quantiles from the sketches,
+        engine activity from this recorder's own counters."""
+        summary = self.telemetry.summary
+        if summary is None:
             raise ObservabilityError(
-                f"{type(self).__name__} has not observed a run yet"
+                f"{type(self).__name__} has not observed a run to its end"
             )
         from repro.obs.summary import RunReport
 
@@ -1219,14 +975,14 @@ class StreamingRecorder(Instrument):
             policy=self._policy,
             n_transactions=self._n,
             servers=self._servers,
-            makespan=self._end_time,
+            makespan=summary.makespan,
             scheduling_points=self._sched_points,
-            preemptions=t.preemptions,
-            arrivals=t.arrivals,
+            preemptions=summary.preemptions,
+            arrivals=summary.n,
             dispatches=self._dispatches,
-            completions=t.completed,
+            completions=summary.completed,
             overhead_paid=self._overhead_paid,
-            total_tardiness=t.total_tardiness,
+            total_tardiness=summary.total_tardiness,
             max_ready_depth=self._max_ready,
             mean_ready_depth=(
                 self._ready_sum / self._sched_points
@@ -1235,9 +991,9 @@ class StreamingRecorder(Instrument):
             ),
             select_total_seconds=self._select_total,
             select_max=self._select_max,
-            aborted=t.aborted,
-            shed=t.shed,
-            retries=t.retries,
+            aborted=summary.aborted,
+            shed=summary.shed,
+            retries=summary.retries,
             crashes=self._crashes,
             stalls=self._stalls,
             quantile_accuracy=t.quantile_accuracy,
@@ -1247,7 +1003,7 @@ class StreamingRecorder(Instrument):
             response_p50=t.response.quantile(0.50),
             response_p95=t.response.quantile(0.95),
             response_p99=t.response.quantile(0.99),
-            miss_ratio=t.deadline_miss_ratio,
+            miss_ratio=summary.tardy / (summary.completed or 1),
         )
 
     def to_state(self) -> dict:
@@ -1311,6 +1067,5 @@ class StreamingRecorder(Instrument):
     def __repr__(self) -> str:
         return (
             f"StreamingRecorder(policy={self._policy!r}, "
-            f"completed={self.telemetry.completed}, "
             f"scheduling_points={self._sched_points})"
         )

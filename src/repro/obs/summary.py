@@ -76,7 +76,9 @@ class RunReport:
     #: doubles as the presence flag: ``None`` (a report built by hand,
     #: without telemetry) leaves these fields out of the rendered
     #: report.  Each estimate is within ``α × true value`` of the exact
-    #: quantile.
+    #: quantile of the **completed** transactions, the population of
+    #: Definition 4's averages and of :mod:`repro.metrics.distributions`
+    #: (aborted and shed work are the ``aborted``/``shed`` counts).
     quantile_accuracy: float | None = None
     tardiness_p50: float = 0.0
     tardiness_p90: float = 0.0

@@ -408,12 +408,12 @@ class Simulator:
                         self._events_processed + self._checkpoint_every
                     )
                     ckpt.save(self, now)
-        if self._instrument is not None:
-            self._instrument.on_run_end(now)
         ordered = sorted(self._txns.values(), key=lambda t: t.txn_id)
         summary = StreamSummary.from_transactions(
             ordered, preemptions=self.preemptions
         )
+        if self._instrument is not None:
+            self._instrument.on_run_end(now, summary)
         records = (
             [TransactionRecord.from_transaction(txn) for txn in ordered]
             if self._retain_records

@@ -16,7 +16,7 @@ from repro.ckpt import (
 from repro.errors import CheckpointError
 from repro.experiments.config import PolicySpec
 from repro.experiments.runner import generate_workloads, run_policy_on
-from repro.obs import NullInstrument, Recorder
+from repro.obs import NullInstrument, Recorder, RunTelemetry, StreamingRecorder
 from repro.workload.spec import WorkloadSpec
 
 
@@ -267,6 +267,54 @@ class TestValidation:
         )
         with pytest.raises(CheckpointError, match="checkpoint version 5"):
             load_checkpoint(checkpoint_path)
+
+    def test_v6_telemetry_checkpoint_rejected_at_load(self, tmp_path):
+        # Format 6 carried a RunTelemetry state with outcome counters,
+        # running sums and two moments, and no run summary; today's
+        # telemetry cannot rebuild from it (no ``summary`` key).  The
+        # header version must stop it at load instead.
+        assert CKPT_VERSION > 6
+        workload = generate_workloads(
+            WorkloadSpec(n_transactions=80, utilization=0.9), [3]
+        )[0]
+        path = tmp_path / "stream.ckpt"
+        recorder = StreamingRecorder()
+        run_policy_on(
+            workload,
+            PolicySpec.of("asets"),
+            instrument=recorder,
+            retain_records=False,
+            checkpoint_every=30,
+            checkpointer=Checkpointer(path, instrument=recorder, max_saves=1),
+        )
+        data = path.read_bytes()
+        end = data.index(b"\n", len(CKPT_MAGIC))
+        header = json.loads(data[len(CKPT_MAGIC) : end])
+        blob = pickle.loads(data[end + 1 :])
+        telemetry = blob["instrument"]["state"]["telemetry"]
+        del telemetry["summary"]
+        moments = {"count": 0, "mean": 0.0, "m2": 0.0, "min": 0.0, "max": 0.0}
+        telemetry.update(
+            dict.fromkeys(
+                ("arrivals", "completed", "tardy", "aborted", "shed",
+                 "retries", "preemptions"),
+                0,
+            ),
+            tardiness_total=0.0, response_total=0.0, weighted_total=0.0,
+            weighted_max=0.0, makespan=0.0,
+            tardiness_moments=moments, response_moments=dict(moments),
+        )
+        with pytest.raises(KeyError, match="summary"):
+            RunTelemetry.from_state(telemetry)
+        header["version"] = 6
+        path.write_bytes(
+            CKPT_MAGIC
+            + json.dumps(header, separators=(",", ":")).encode()
+            + b"\n"
+            + pickle.dumps(blob)
+        )
+        with pytest.raises(CheckpointError, match="checkpoint version 6"):
+            load_checkpoint(path)
 
     def test_instrument_without_state_cannot_checkpoint(self, tmp_path):
         workload = generate_workloads(

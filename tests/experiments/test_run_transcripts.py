@@ -128,7 +128,8 @@ CASES = {
 }
 
 #: Captured from the CLI with the clocks above.  A resumed run prints
-#: the uninterrupted run's summary line, fault counts included.
+#: the uninterrupted run's summary line, fault counts included, and its
+#: heartbeat's final ``[hb] done`` line counts the whole run's summary.
 GOLDEN = {
     "buffered": [
         {
@@ -239,7 +240,7 @@ GOLDEN = {
                 "asets: n=300 avg_tardiness=19.617 scheduling_points=977 preemptions=129 aborted=13 shed=0 retries=56",
             ],
             "stderr": [
-                "[hb] x177 d7dbcb00ee051691",
+                "[hb] x177 3495c31d340352a4",
                 "resumed <tmp>/r.ckpt at event 800 (t=5146.22)",
                 "event log (808 records) written to <tmp>/r.jsonl",
             ],
@@ -309,7 +310,7 @@ GOLDEN = {
                 "asets: n=300 avg_tardiness=19.617 tardiness_p99=314.235 miss_ratio=0.4007 scheduling_points=977",
             ],
             "stderr": [
-                "[hb] x177 d7dbcb00ee051691",
+                "[hb] x177 3495c31d340352a4",
                 "resumed <tmp>/w.ckpt at event 800 (t=5146.22)",
                 "event log (872 records) continued at <tmp>/w.jsonl",
             ],

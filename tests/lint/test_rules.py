@@ -268,6 +268,25 @@ class TestRL012:
     def test_conforming_project_is_clean(self):
         assert findings_for("RL012", "good") == []
 
+    def test_stores_on_a_builders_record_are_checked(self):
+        # ``x = builder(...)`` binds ``x`` to the builder's kind, so a
+        # later ``x["f"] = ...`` must name a declared field of it.
+        findings = findings_for("RL012", "bad_builder")
+        assert sorted((f.line, f.message) for f in findings) == [
+            (
+                13,
+                "store of undeclared field 'extra' on the 'pong' record "
+                "pong_record() builds; add it to EVENT_SCHEMAS (additive) "
+                "or drop it",
+            ),
+            (
+                19,
+                "store of undeclared field 'width' on the 'ping' record "
+                "ping_record() builds; add it to EVENT_SCHEMAS (additive) "
+                "or drop it",
+            ),
+        ]
+
     def test_suppressed_fixture_is_clean(self):
         assert findings_for("RL012", "suppressed") == []
 

@@ -13,7 +13,7 @@ from repro.metrics.distributions import (
     tardiness_percentile,
     weighted_tardiness_percentile,
 )
-from repro.sim.results import TransactionRecord
+from repro.sim.results import StreamSummary, TransactionRecord
 from repro.workload.generator import generate
 from repro.workload.spec import WorkloadSpec
 
@@ -69,12 +69,22 @@ class TestTardinessPercentiles:
 
 
 class TestFaultedRecords:
-    """Aborted and shed records carry zero tardiness, here as in the run."""
+    """Aborted and shed records are outcome counts, not tardiness
+    samples: the distributions take completed work, as Definition 4's
+    averages and the streaming sketch do."""
 
     def test_a_shed_record_counts_as_zero(self):
+        # Zero tardiness mass, in the record and in the run's totals.
         recs = [rec(9.0, 5.0), rec(9.0, 5.0, outcome="shed")]
-        assert tardiness_percentile(recs, 0) == 0.0
-        assert tardiness_histogram(recs, [1.0]) == [1, 1]
+        assert recs[1].tardiness == recs[1].weighted_tardiness == 0.0
+        summary = StreamSummary.from_records(recs)
+        assert summary.total_tardiness == 4.0 and summary.completed == 1
+
+    def test_a_shed_record_is_not_a_sample(self):
+        recs = [rec(9.0, 5.0), rec(9.0, 5.0, outcome="shed")]
+        assert tardiness_percentile(recs, 0) == 4.0
+        assert weighted_tardiness_percentile(recs, 0) == 4.0
+        assert tardiness_histogram(recs, [1.0]) == [0, 1]
 
     def test_distributions_agree_with_the_records_of_a_shedding_run(self):
         workload = generate(
@@ -87,13 +97,18 @@ class TestFaultedRecords:
         )
         assert result.shed_count > 0
         records = result.records
-        values = [r.tardiness for r in records]
-        weighted = [r.weighted_tardiness for r in records]
+        completed = [r for r in records if r.outcome == "completed"]
+        assert len(completed) == result.completed_count < len(records)
+        values = [r.tardiness for r in completed]
+        weighted = [r.weighted_tardiness for r in completed]
         for q in (50, 90, 99):
             assert tardiness_percentile(records, q) == percentile(values, q)
             assert weighted_tardiness_percentile(records, q) == percentile(
                 weighted, q
             )
+        # The median of the completed population; counting the shed
+        # records as zero samples would give 58.81.
+        assert round(tardiness_percentile(records, 50), 2) == 60.73
         edges = [1.0, 50.0, 200.0]
         expected = [0] * (len(edges) + 1)
         for value in values:

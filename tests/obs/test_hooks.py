@@ -35,8 +35,9 @@ class SpyInstrument(Instrument):
     def on_scheduling_point(self, now, ready, running, select_seconds):
         self.calls.append(("sched", now, ready, running, select_seconds))
 
-    def on_run_end(self, now):
+    def on_run_end(self, now, summary):
         self.calls.append(("run_end", now))
+        self.summary = summary
 
     def names(self):
         return [c[0] for c in self.calls]
@@ -123,7 +124,19 @@ def test_null_instrument_is_all_noops():
     null.on_overhead(make_txn(), 0.1, 0.0)
     null.on_completion(make_txn(), 0.0)
     null.on_scheduling_point(0.0, 0, 0, 0.0)
-    null.on_run_end(0.0)
+    null.on_run_end(0.0, None)
+
+
+def test_run_end_hands_over_the_results_summary():
+    txns = [
+        make_txn(1, arrival=0.0, length=2.0, deadline=1.0),
+        make_txn(2, arrival=1.0, length=1.0),
+    ]
+    spy = SpyInstrument()
+    result = Simulator(txns, FCFS(), instrument=spy).run()
+    assert spy.calls[-1] == ("run_end", 3.0)
+    assert spy.summary is result.stream_summary
+    assert spy.summary.completed == 2 and spy.summary.tardy == 1
 
 
 def test_multi_instrument_fans_out_in_order():

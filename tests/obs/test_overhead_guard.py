@@ -15,7 +15,8 @@ default everywhere) keeps the hot path at pre-instrumentation cost: one
 3. dynamic — no function defined in ``repro/obs/`` executes when
    disabled;
 4. wall-time — a 5000-transaction run with ``instrument=None`` stays
-   within 5% of the same run with a :class:`NullInstrument` attached.
+   within 5% of the same run with a :class:`NullInstrument` attached,
+   as the median ratio over interleaved pairs of runs.
    The null-instrument run performs a strict superset of the disabled
    path's work (every hook call site fires a no-op method), so the
    disabled path must not come out slower; this pins the "fast path"
@@ -26,6 +27,7 @@ default everywhere) keeps the hot path at pre-instrumentation cost: one
    wall-clock ratio it cannot be moved by host noise.
 """
 
+import statistics
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -126,20 +128,29 @@ def test_disabled_run_within_5_percent_of_null_instrument_path():
         WorkloadSpec(n_transactions=5000, utilization=0.9), seed=11
     )
 
-    def best_of(instrument, rounds=3):
-        best = float("inf")
-        for _ in range(rounds):
-            start = perf_counter()
-            _run(workload, instrument)
-            best = min(best, perf_counter() - start)
-        return best
+    def timed(instrument):
+        start = perf_counter()
+        _run(workload, instrument)
+        return perf_counter() - start
 
-    best_of(None, rounds=1)  # warm caches before measuring
-    t_null_object = best_of(NullInstrument())
-    t_disabled = best_of(None)
-    assert t_disabled <= t_null_object * 1.05, (
-        f"instrument=None took {t_disabled:.4f}s, NullInstrument "
-        f"{t_null_object:.4f}s — the disabled path must not be slower"
+    timed(None)  # warm caches before measuring
+    # Interleaved pairs, alternating which run goes first, so host noise
+    # hits both sides of each ratio alike; the median drops outliers.
+    ratios = []
+    for pair in range(21):
+        if pair % 2:
+            t_null_object = timed(NullInstrument())
+            t_disabled = timed(None)
+        else:
+            t_disabled = timed(None)
+            t_null_object = timed(NullInstrument())
+        ratios.append(t_disabled / t_null_object)
+    ratio = statistics.median(ratios)
+    assert ratio <= 1.05, (
+        f"instrument=None took {ratio:.3f}x the NullInstrument run (median "
+        f"of {len(ratios)} interleaved pairs: "
+        f"{', '.join(f'{r:.3f}' for r in ratios)}) — the disabled path "
+        "must not be slower"
     )
 
 

@@ -7,15 +7,14 @@ this module pins exact behavior on small, hand-checkable inputs.
 
 import math
 import random
-import statistics
 
 import pytest
 
 from repro.errors import ObservabilityError
+from repro.sim.results import StreamSummary, TransactionRecord
 from repro.obs.streaming import (
     QuantileSketch,
     RunTelemetry,
-    StreamingMoments,
     StreamingRecorder,
     TopK,
     WindowAggregator,
@@ -97,51 +96,6 @@ class TestQuantileSketch:
         restored = QuantileSketch.from_dict(s.as_dict())
         assert restored.as_dict() == s.as_dict()
         assert restored.quantile(0.5) == s.quantile(0.5)
-
-
-class TestStreamingMoments:
-    def test_matches_statistics_module(self):
-        rng = random.Random(11)
-        values = [rng.gauss(50.0, 12.0) for _ in range(300)]
-        m = StreamingMoments()
-        for v in values:
-            m.add(v)
-        assert m.count == 300
-        assert m.mean == pytest.approx(statistics.fmean(values), rel=1e-12)
-        assert m.variance == pytest.approx(
-            statistics.pvariance(values), rel=1e-9
-        )
-        assert m.min == min(values) and m.max == max(values)
-        assert m.total == pytest.approx(sum(values), rel=1e-12)
-
-    def test_empty_and_single_value(self):
-        m = StreamingMoments()
-        assert m.count == 0 and m.mean == 0.0 and m.variance == 0.0
-        m.add(4.25)
-        assert m.mean == 4.25 and m.variance == 0.0 and m.stddev == 0.0
-
-    def test_merge_matches_bulk(self):
-        rng = random.Random(2)
-        values = [rng.expovariate(0.1) for _ in range(500)]
-        bulk = StreamingMoments()
-        a, b = StreamingMoments(), StreamingMoments()
-        for i, v in enumerate(values):
-            bulk.add(v)
-            (a if i < 200 else b).add(v)
-        a.merge(b)
-        assert a.count == bulk.count
-        assert a.mean == pytest.approx(bulk.mean, rel=1e-12)
-        assert a.variance == pytest.approx(bulk.variance, rel=1e-9)
-        assert a.min == bulk.min and a.max == bulk.max
-
-    def test_merge_empty_sides(self):
-        m = StreamingMoments()
-        m.add(1.0)
-        m.merge(StreamingMoments())
-        assert m.count == 1 and m.mean == 1.0
-        other = StreamingMoments()
-        other.merge(m)
-        assert other.count == 1 and other.mean == 1.0
 
 
 class TestTopK:
@@ -268,29 +222,43 @@ class TestWindowAggregator:
         assert snap["utilization"] == pytest.approx(0.75)
 
 
+def _summary(*records):
+    return StreamSummary.from_records(
+        [TransactionRecord(*r, first_start=0.0, preemptions=0) for r in records]
+    )
+
+
 class TestRunTelemetry:
     def test_observe_and_properties(self):
         t = RunTelemetry(0.01)
-        t.observe_completion(1, 0.0, 4.0, 1.0)
-        t.observe_completion(2, 6.0, 9.0, 2.0)
-        assert t.completed == 2 and t.tardy == 1
-        assert t.average_tardiness == pytest.approx(3.0)
-        assert t.max_tardiness == 6.0
-        assert t.average_weighted_tardiness == pytest.approx(6.0)
-        assert t.total_tardiness == pytest.approx(6.0)
+        t.observe_completion(1, 0.0, 4.0)
+        t.observe_completion(2, 6.0, 9.0)
+        # Sketches and culprits only; the tally arrives at run end.
+        assert t.summary is None
+        assert t.tardiness.count == 2 and t.tardiness.max == 6.0
+        assert t.response.count == 2 and t.response.max == 9.0
         assert t.culprits.items() == [(2, 6.0)]
 
     def test_merge_accumulates_and_as_dict_is_stable(self):
         a, b = RunTelemetry(0.01), RunTelemetry(0.01)
-        a.observe_completion(1, 2.0, 3.0, 1.0)
-        b.observe_completion(2, 5.0, 6.0, 1.0)
-        b.makespan = 99.0
+        a.observe_completion(1, 2.0, 3.0)
+        b.observe_completion(2, 5.0, 6.0)
+        # (txn_id, arrival, length, deadline, weight, finish)
+        a.summary = _summary((1, 0.0, 1.0, 1.0, 1.0, 3.0))
+        b.summary = _summary((2, 93.0, 1.0, 94.0, 2.0, 99.0))
+        expected = a.summary.merge(b.summary)
         a.merge(b)
-        assert a.completed == 2 and a.tardy == 2
-        assert a.makespan == 99.0
+        assert a.summary == expected
+        assert a.summary.completed == 2 and a.summary.tardy == 2
+        assert a.summary.makespan == 99.0
+        assert a.summary.max_weighted_tardiness == 10.0
         d = a.as_dict()
-        assert d["completed"] == 2
+        assert d["summary"]["completed"] == 2
         assert d["tardiness"]["count"] == 2
+        empty = RunTelemetry(0.01)
+        empty.merge(a)
+        assert empty.summary == a.summary
+        assert empty.as_dict() == d
 
 
 class TestStreamingRecorder:
@@ -303,3 +271,9 @@ class TestStreamingRecorder:
     def test_report_requires_a_run(self):
         with pytest.raises(ObservabilityError):
             StreamingRecorder().report()
+
+    def test_report_requires_the_run_end(self):
+        rec = StreamingRecorder()
+        rec.on_run_start("edf", 10, 1)
+        with pytest.raises(ObservabilityError, match="to its end"):
+            rec.report()

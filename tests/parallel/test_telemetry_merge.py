@@ -2,7 +2,7 @@
 
 The ISSUE-level guarantee: ``grid_sweep(jobs=N, telemetry=...)`` fills
 ``telemetry_out`` with per-policy telemetry that is *byte-identical* to
-the ``jobs=1`` run — same sketch buckets, same float moments, same
+the ``jobs=1`` run — same sketch buckets, same run summaries, same
 top-k — because cells merge in fixed grid order (column, then seed) and
 the sketch merge itself is associative.
 """
@@ -17,7 +17,9 @@ from repro.experiments.runner import (
     TelemetrySpec,
     _run_group,
     grid_sweep,
+    run_policy_on,
 )
+from repro.workload.generator import generate
 from repro.workload.spec import WorkloadSpec
 
 POLICIES = (
@@ -70,9 +72,26 @@ def test_merged_telemetry_covers_every_cell():
     n_cells = len(_columns()) * len(SEEDS)
     for telemetry in out.values():
         # Each cell contributes its full 60-transaction run.
-        assert telemetry.arrivals == 60 * n_cells
-        assert telemetry.completed <= telemetry.arrivals
-        assert telemetry.tardiness.count == telemetry.completed
+        assert telemetry.summary.n == 60 * n_cells
+        assert telemetry.summary.completed <= telemetry.summary.n
+        assert telemetry.tardiness.count == telemetry.summary.completed
+
+
+def test_merged_summary_is_the_grid_order_merge_of_the_cell_results():
+    """The sweep's merged tally is the cells' own result summaries added
+    column by column, seed by seed: bit for bit, floats included."""
+    _, out = _sweep_telemetry(jobs=2)
+    for policy in POLICIES:
+        expected = None
+        for column in _columns():
+            for seed in SEEDS:
+                summary = run_policy_on(
+                    generate(column.spec, seed), policy
+                ).stream_summary
+                expected = (
+                    summary if expected is None else expected.merge(summary)
+                )
+        assert out[policy.display].summary == expected, policy.display
 
 
 def test_run_cell_groups_indexes_telemetry_by_coordinates():
@@ -100,7 +119,7 @@ def test_run_cell_groups_indexes_telemetry_by_coordinates():
     assert set(results) == expected_keys
     assert set(cell_telemetry) == expected_keys
     for telemetry in cell_telemetry.values():
-        assert telemetry.arrivals == 40
+        assert telemetry.summary.n == 40
 
 
 def test_telemetry_out_untouched_without_spec():
@@ -122,7 +141,7 @@ def test_sweep_quantiles_match_merged_sketch_bound():
     _, out = _sweep_telemetry(jobs=2)
     for name, telemetry in out.items():
         sketch = telemetry.tardiness
-        assert sketch.count == telemetry.completed
+        assert sketch.count == telemetry.summary.completed
         p50 = sketch.quantile(0.5)
         p99 = sketch.quantile(0.99)
         assert p50 <= p99 + 1e-12, name

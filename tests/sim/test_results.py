@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.transaction import Transaction
 from repro.errors import SimulationError
-from repro.sim.results import SimulationResult, TransactionRecord
+from repro.sim.results import SimulationResult, StreamSummary, TransactionRecord
 from tests.conftest import make_txn
 
 
@@ -196,3 +196,29 @@ class TestSimulationResult:
 
     def test_repr(self):
         assert "edf" in repr(SimulationResult("edf", [rec()]))
+
+
+class TestStreamSummaryMerge:
+    def test_merge_adds_counts_and_totals_and_maxes_the_maxima(self):
+        left = [rec(1, finish=7.0), rec(2, finish=4.0, weight=3.0)]
+        right = [
+            rec(3, arrival=10.0, deadline=12.0, finish=15.5, weight=2.0),
+            rec(4, finish=9.0)._replace(outcome="shed"),
+        ]
+        a = StreamSummary.from_records(left)
+        b = StreamSummary.from_records(right)
+        merged = a.merge(b)
+        whole = StreamSummary.from_records(left + right)
+        # Every count and maximum equals the one-pass summary.
+        for name in ("n", "completed", "tardy", "aborted", "shed", "retries",
+                     "preemptions", "max_tardiness", "max_weighted_tardiness",
+                     "makespan"):
+            assert getattr(merged, name) == getattr(whole, name), name
+        # Totals are added in the caller's order: left's, then right's.
+        assert merged.total_tardiness == a.total_tardiness + b.total_tardiness
+        assert merged.total_response_time == (
+            a.total_response_time + b.total_response_time
+        )
+        assert (merged.completed, merged.tardy, merged.shed) == (3, 2, 1)
+        assert merged.max_weighted_tardiness == 7.0
+        assert merged.makespan == 15.5
