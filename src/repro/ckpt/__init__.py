@@ -5,10 +5,12 @@ Ctrl-C without losing hours of work.  This package provides the two
 persistence layers that make that possible:
 
 * :mod:`repro.ckpt.snapshot` — a versioned single-file snapshot of one
-  *run*: the engine's full state (event queue, SoA columns, ready set,
-  running-server book-keeping, fault cursors) in one pickle graph,
-  the policy's state via :meth:`repro.policies.base.Scheduler.snapshot`,
-  the streaming-telemetry accumulators, and the JSONL writer position.
+  *run*: the workload-static transaction pool as columns, written once
+  per run, and one pickle of what the run changed (transaction and
+  workflow slots, event queue, ready set, running-server book-keeping,
+  fault cursors, the policy's state via
+  :meth:`repro.policies.base.Scheduler.snapshot`, the streaming-telemetry
+  accumulators, and the JSONL writer position).
   ``Simulator.resume_from`` rebuilds the run mid-flight; the contract is
   that a killed-and-resumed run produces **byte-identical** JSONL events
   and an equal :class:`~repro.sim.results.SimulationResult` to an
@@ -20,8 +22,9 @@ persistence layers that make that possible:
 
 Determinism is the design constraint throughout: saving a checkpoint
 never mutates run state, resume restores raw accumulator fields (never
-derived values), and shared object identity inside the pickle graph
-preserves every tie-break the live run would have made.
+derived values), and pool references inside the state pickle keep
+every shared object's identity, so every tie-break the live run would
+have made is preserved.
 """
 
 from __future__ import annotations

@@ -669,7 +669,15 @@ def _run_single(args: argparse.Namespace, fault_spec=None) -> int:
     instrument = recorder
     interval = _heartbeat_interval(args)
     if interval is not None and recorder is not None:
-        instrument = MultiInstrument([recorder, Heartbeat(interval)])
+        heartbeat = Heartbeat(interval)
+        if checkpoint is not None:
+            # A resumed run fires no on_run_start: the heartbeat takes
+            # the run's shape from the checkpoint and its wall epoch
+            # from this process.
+            heartbeat.on_run_start(
+                checkpoint.policy_name, checkpoint.n, checkpoint.servers
+            )
+        instrument = MultiInstrument([recorder, heartbeat])
     try:
         if checkpoint is not None:
             from repro.sim.engine import Simulator

@@ -165,11 +165,12 @@ class Scheduler(abc.ABC):
         """Opaque picklable scheduling state for a run checkpoint.
 
         The default returns the policy object itself: the checkpoint
-        serialises engine and policy state in a *single* pickle graph,
-        so every shared :class:`~repro.core.transaction.Transaction`
-        reference (ready dicts, lazy heaps, workflow views) keeps its
-        identity — which makes the default exact for every policy in
-        this package, stale heap entries and tie-break history included.
+        serialises engine and policy state in a *single* state pickle
+        that writes pool objects as references, so every shared
+        :class:`~repro.core.transaction.Transaction` reference (ready
+        dicts, lazy heaps, workflow views) keeps its identity — which
+        makes the default exact for every policy in this package, stale
+        heap entries and tie-break history included.
         Subclasses whose derived structures are cheaper to rebuild than
         to serialise may return a reduced state instead, as long as
         :meth:`restore` reproduces *decision-identical* behaviour (the

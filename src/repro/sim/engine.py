@@ -56,12 +56,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["Simulator"]
 
 #: Engine attributes captured by a run checkpoint (:mod:`repro.ckpt`).
-#: Everything here must pickle as one object graph — shared Transaction
-#: references between the pool, the SoA table, the event queue, the
-#: running map and the policy keep their identity, which is what makes a
-#: resumed run decision-identical to an uninterrupted one.  The frozen
-#: tuple doubles as the snapshot schema: loads reject a payload whose
-#: keys differ (:class:`~repro.errors.CheckpointError`).
+#: The frozen tuple doubles as the snapshot schema: loads reject a
+#: payload whose keys differ (:class:`~repro.errors.CheckpointError`).
 _CKPT_CORE_FIELDS = (
     "_txns",
     "_table",
@@ -88,6 +84,11 @@ _CKPT_CORE_FIELDS = (
     "_events_processed",
 )
 
+#: The workload-static part of the core: built from the transaction pool
+#: alone, so a checkpoint rebuilds it from its pool section with the
+#: engine's own constructors instead of pickling it at every save.
+_CKPT_POOL_FIELDS = ("_txns", "_table", "_workflows", "_dependents")
+
 #: Tolerance for floating-point residues when a completion event fires.
 _EPS = 1e-9
 
@@ -100,6 +101,19 @@ _RUNNING = TransactionState.RUNNING
 _FAULT_KINDS = frozenset(
     (EventKind.FAULT, EventKind.CRASH, EventKind.RECOVER, EventKind.RETRY)
 )
+
+
+def _dependents_of(txns: dict[int, Transaction]) -> dict[int, list[int]]:
+    """Reverse dependency lists: id -> ids that list it, in pool order."""
+    dependents: dict[int, list[int]] = {tid: [] for tid in txns}
+    for txn in txns.values():
+        for dep in txn.depends_on:
+            if dep not in txns:
+                raise SimulationError(
+                    f"transaction {txn.txn_id} depends on unknown id {dep}"
+                )
+            dependents[dep].append(txn.txn_id)
+    return dependents
 
 
 @dataclass(slots=True)
@@ -295,15 +309,7 @@ class Simulator:
                 )
         self._workflows = workflow_set
         self._trace = Trace() if record_trace else None
-        # Dependency bookkeeping.
-        self._dependents: dict[int, list[int]] = {tid: [] for tid in self._txns}
-        for txn in self._txns.values():
-            for dep in txn.depends_on:
-                if dep not in self._txns:
-                    raise SimulationError(
-                        f"transaction {txn.txn_id} depends on unknown id {dep}"
-                    )
-                self._dependents[dep].append(txn.txn_id)
+        self._dependents = _dependents_of(self._txns)
         self._check_acyclic()
         # Run state (initialised in run()).
         self._events = EventQueue()
@@ -490,15 +496,19 @@ class Simulator:
     # Checkpoint / resume (:mod:`repro.ckpt`).
     # ------------------------------------------------------------------
     def _checkpoint_payload(self) -> dict[str, object]:
-        """The core engine state a run checkpoint captures.
+        """The core engine state a run changes, for one checkpoint save.
 
-        One entry per :data:`_CKPT_CORE_FIELDS` name; the checkpointer
-        pickles the mapping together with the policy snapshot so shared
-        object identity survives.  Reading attributes mutates nothing —
-        taking a checkpoint must leave the run byte-identical to one
-        that never checkpointed.
+        One entry per :data:`_CKPT_CORE_FIELDS` name outside
+        :data:`_CKPT_POOL_FIELDS`; the checkpointer writes the pool once
+        per run and rebuilds those four on load.  Reading attributes
+        mutates nothing — taking a checkpoint must leave the run
+        byte-identical to one that never checkpointed.
         """
-        return {name: getattr(self, name) for name in _CKPT_CORE_FIELDS}
+        return {
+            name: getattr(self, name)
+            for name in _CKPT_CORE_FIELDS
+            if name not in _CKPT_POOL_FIELDS
+        }
 
     @classmethod
     def resume_from(

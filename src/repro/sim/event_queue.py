@@ -9,7 +9,8 @@ are handled within a single scheduling point.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Iterator
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator
 
 from repro.sim.events import Event
 
@@ -86,3 +87,21 @@ class EventQueue:
     def __iter__(self) -> Iterator[Event]:
         """Iterate pending events in an unspecified (heap) order."""
         return iter(self._heap)
+
+    def __reduce__(
+        self,
+    ) -> tuple[Callable[..., EventQueue], tuple[list[object], ...]]:
+        # One list per Event field: pickled whole, each Event (a tuple
+        # subclass) would take a Python-level reduction, and a run
+        # checkpointed early holds thousands of pending arrivals.
+        heap = self._heap
+        return _from_columns, tuple(
+            list(map(itemgetter(field), heap)) for field in range(len(Event._fields))
+        )
+
+
+def _from_columns(*columns: list[object]) -> EventQueue:
+    """The queue :meth:`EventQueue.__reduce__` pickled, in heap order."""
+    queue = EventQueue()
+    queue._heap = list(map(Event._make, zip(*columns)))
+    return queue

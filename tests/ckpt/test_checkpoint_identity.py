@@ -11,7 +11,8 @@ the buffered and the streaming engine modes:
   determinism tests treat it) and telemetry as an uninterrupted run.
 
 The "kill" is simulated deterministically: the checkpointer is capped
-at ``max_saves=1`` to pin the resume point, the finished log is cut
+at ``max_saves=1`` to pin the resume point (the later-save matrix
+resumes from the last of several saves instead), the finished log is cut
 back past the snapshot with a torn tail appended (what a SIGKILL
 leaves behind), and the run is resumed from the file.  The real-signal
 version of this harness lives in ``test_kill_recover.py``.
@@ -152,6 +153,62 @@ class TestIdentityMatrix:
         assert resumed_result.average_tardiness == golden_result.average_tardiness
         assert resumed_result.completed_count == golden_result.completed_count
         assert _norm_report(recorder) == _norm_report(golden_recorder)
+
+
+#: Workloads for the later-save matrix: the identity workload, and a
+#: weighted workflow pool whose length estimates are off by up to 40%
+#: (so ``length_estimate`` and ``scheduling_remaining`` differ from the
+#: true length and remaining time).
+LATER_SPECS = {
+    "plain": SPEC,
+    "estimates": WorkloadSpec(
+        n_transactions=120,
+        utilization=0.9,
+        weighted=True,
+        with_workflows=True,
+        length_estimate_error=0.4,
+    ),
+}
+
+#: Aborts with retries: a retried transaction's deadline moves past its
+#: submitted deadline, so the two must come back from the checkpoint
+#: apart.
+RETRY_FAULTS = parse_fault_spec("abort_prob=0.25,max_retries=2,stall_prob=0.1")
+
+
+@pytest.mark.parametrize("name", available_policies())
+@pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faults"])
+@pytest.mark.parametrize("spec", sorted(LATER_SPECS))
+def test_resume_from_a_later_save(name, faulted, spec, tmp_path):
+    """Resuming from the last of several saves, each written with the
+    pool section the first save built, finishes as the uninterrupted run."""
+    policy = _spec_of(name)
+    faults = RETRY_FAULTS if faulted else None
+    workload = generate_workloads(LATER_SPECS[spec], [SEED])[0]
+    golden = run_policy_on(workload, policy, faults=faults)
+
+    ckpt = Checkpointer(tmp_path / "run.ckpt")
+    observed = run_policy_on(
+        workload,
+        policy,
+        faults=faults,
+        checkpoint_every=EVERY,
+        checkpointer=ckpt,
+    )
+    assert observed.records == golden.records
+    assert ckpt.saves >= 3
+
+    checkpoint = load_checkpoint(tmp_path / "run.ckpt")
+    txns = checkpoint.core["_txns"].values()
+    assert checkpoint.events_processed >= (ckpt.saves - 1) * EVERY
+    if faulted:
+        assert any(t.deadline != t.submitted_deadline for t in txns)
+    if spec == "estimates":
+        assert any(t.length_estimate != t.length for t in txns)
+    resumed = Simulator.resume_from(checkpoint).run()
+    assert resumed.records == golden.records
+    assert resumed.scheduling_points == golden.scheduling_points
+    assert resumed.summary() == golden.summary()
 
 
 class TestCheckpointIsObservationOnly:

@@ -1,11 +1,15 @@
 """The checkpoint file format: header, validation, atomicity, caps."""
 
+import gc
+import io
 import json
 import pickle
+import weakref
 from array import array
 
 import pytest
 
+from repro.ckpt import snapshot
 from repro.ckpt import (
     CKPT_MAGIC,
     CKPT_VERSION,
@@ -13,10 +17,14 @@ from repro.ckpt import (
     load_checkpoint,
     restore_writer,
 )
+from repro.core.transaction import Transaction
+from repro.core.workflow import Workflow
+from repro.core.workflow_set import WorkflowSet
 from repro.errors import CheckpointError
 from repro.experiments.config import PolicySpec
 from repro.experiments.runner import generate_workloads, run_policy_on
 from repro.obs import NullInstrument, Recorder, RunTelemetry, StreamingRecorder
+from repro.sim.engine import Simulator
 from repro.workload.spec import WorkloadSpec
 
 
@@ -31,6 +39,46 @@ class _V5Table:
         state = {name: getattr(self.table, name) for name in cls.__slots__}
         state.update(deadline=array("d"), length=array("d"), weight=array("d"))
         return object.__new__, (cls,), (None, state)
+
+
+def _sections(data):
+    """Offsets of a checkpoint's header newline, pool and state sections."""
+    header_end = data.index(b"\n", len(CKPT_MAGIC))
+    pool_at = header_end + 1 + snapshot._LENGTH_BYTES
+    state_at = pool_at + int.from_bytes(data[header_end + 1 : pool_at], "little")
+    return header_end, pool_at, state_at
+
+
+def _blob(path):
+    """The whole object graph of a checkpoint, as formats up to 7 pickled it."""
+    return load_checkpoint(path)._blob
+
+
+def _rewrite_state(path, edit, shift=0):
+    """Re-pickle a checkpoint's state section after ``edit(state)``, with
+    every pool reference moved ``shift`` places along the pool."""
+    data = path.read_bytes()
+    header_end, pool_at, state_at = _sections(data)
+    n = json.loads(data[len(CKPT_MAGIC) : header_end])["n"]
+    objects, _ = snapshot._rebuild_pool(data[pool_at:state_at], n)
+    state = snapshot._StateUnpickler(data[state_at:], objects).load()
+    edit(state)
+    if shift:
+        objects = (None,) * shift + objects
+    buffer = io.BytesIO()
+    snapshot._dump_state(buffer, state, snapshot._reference_table(objects))
+    path.write_bytes(data[:state_at] + buffer.getvalue())
+
+
+class _V1Queue:
+    """Pickles as a format-1 ``EventQueue``: ``(sort_key, event)`` pairs."""
+
+    def __init__(self, queue):
+        self.queue = queue
+
+    def __reduce__(self):
+        pairs = [(tuple(event[:3]), event) for event in self.queue]
+        return object.__new__, (type(self.queue),), (None, {"_heap": pairs})
 
 
 @pytest.fixture
@@ -125,9 +173,8 @@ class TestValidation:
         data = checkpoint_path.read_bytes()
         end = data.index(b"\n", len(CKPT_MAGIC))
         header = json.loads(data[len(CKPT_MAGIC) : end])
-        blob = pickle.loads(data[end + 1 :])
-        queue = blob["core"]["_events"]
-        queue._heap = [(tuple(event[:3]), event) for event in queue._heap]
+        blob = _blob(checkpoint_path)
+        blob["core"]["_events"] = _V1Queue(blob["core"]["_events"])
         header["version"] = 1
         checkpoint_path.write_bytes(
             CKPT_MAGIC
@@ -159,7 +206,7 @@ class TestValidation:
         data = path.read_bytes()
         end = data.index(b"\n", len(CKPT_MAGIC))
         header = json.loads(data[len(CKPT_MAGIC) : end])
-        blob = pickle.loads(data[end + 1 :])
+        blob = _blob(path)
         policy = blob["policy_state"]
         policy._incremental = False
         policy._active = {wf.wf_id: wf for wf in workload.workflow_set}
@@ -197,7 +244,7 @@ class TestValidation:
         data = path.read_bytes()
         end = data.index(b"\n", len(CKPT_MAGIC))
         header = json.loads(data[len(CKPT_MAGIC) : end])
-        blob = pickle.loads(data[end + 1 :])
+        blob = _blob(path)
         blob["instrument"] = {"kind": "object", "object": recorder}
         header["version"] = 3
         path.write_bytes(
@@ -229,7 +276,7 @@ class TestValidation:
         data = path.read_bytes()
         end = data.index(b"\n", len(CKPT_MAGIC))
         header = json.loads(data[len(CKPT_MAGIC) : end])
-        blob = pickle.loads(data[end + 1 :])
+        blob = _blob(path)
         policy = blob["policy_state"]
         for name in ("_serial", "_side", "_hdf", "_alarm", "_singleton_of"):
             delattr(policy, name)
@@ -253,7 +300,7 @@ class TestValidation:
         data = checkpoint_path.read_bytes()
         end = data.index(b"\n", len(CKPT_MAGIC))
         header = json.loads(data[len(CKPT_MAGIC) : end])
-        blob = pickle.loads(data[end + 1 :])
+        blob = _blob(checkpoint_path)
         blob["core"]["_table"] = _V5Table(blob["core"]["_table"])
         payload = pickle.dumps(blob)
         with pytest.raises(AttributeError):
@@ -290,7 +337,7 @@ class TestValidation:
         data = path.read_bytes()
         end = data.index(b"\n", len(CKPT_MAGIC))
         header = json.loads(data[len(CKPT_MAGIC) : end])
-        blob = pickle.loads(data[end + 1 :])
+        blob = _blob(path)
         telemetry = blob["instrument"]["state"]["telemetry"]
         del telemetry["summary"]
         moments = {"count": 0, "mean": 0.0, "m2": 0.0, "min": 0.0, "max": 0.0}
@@ -339,21 +386,254 @@ class TestValidation:
 
     def test_blob_field_skew(self, checkpoint_path):
         data = checkpoint_path.read_bytes()
-        end = data.index(b"\n", len(CKPT_MAGIC))
+        _, _, state_at = _sections(data)
         checkpoint_path.write_bytes(
-            data[: end + 1] + pickle.dumps({"core": {}})
+            data[:state_at] + pickle.dumps({"core": {}})
         )
         with pytest.raises(CheckpointError, match="payload fields"):
             load_checkpoint(checkpoint_path)
 
     def test_core_schema_skew(self, checkpoint_path):
-        data = checkpoint_path.read_bytes()
-        end = data.index(b"\n", len(CKPT_MAGIC))
-        blob = pickle.loads(data[end + 1 :])
-        blob["core"].pop("_events")
-        checkpoint_path.write_bytes(data[: end + 1] + pickle.dumps(blob))
+        _rewrite_state(checkpoint_path, lambda state: state["core"].pop("_events"))
         with pytest.raises(CheckpointError, match="version skew"):
             load_checkpoint(checkpoint_path)
+
+    def test_pool_field_in_the_state_core_is_schema_skew(self, checkpoint_path):
+        # The pool fields are rebuilt from the pool section; a state core
+        # that carries one too is another engine's schema.
+        _rewrite_state(
+            checkpoint_path,
+            lambda state: state["core"].update(_dependents={}),
+        )
+        with pytest.raises(CheckpointError, match="version skew"):
+            load_checkpoint(checkpoint_path)
+
+    def test_rewritten_state_still_loads(self, checkpoint_path):
+        # The helper the corruption tests build on round-trips a file.
+        _rewrite_state(checkpoint_path, lambda state: None)
+        assert load_checkpoint(checkpoint_path).n == 80
+
+
+class TestVersion8Layout:
+    def test_v7_checkpoint_rejected_before_unpickling(
+        self, checkpoint_path, monkeypatch
+    ):
+        # Format 7 wrote the whole object graph as one pickle right after
+        # the header.  The header version must stop it before a byte of
+        # the payload is unpickled.
+        data = checkpoint_path.read_bytes()
+        end = data.index(b"\n", len(CKPT_MAGIC))
+        header = json.loads(data[len(CKPT_MAGIC) : end])
+        payload = pickle.dumps(_blob(checkpoint_path))
+        header["version"] = 7
+        checkpoint_path.write_bytes(
+            CKPT_MAGIC
+            + json.dumps(header, separators=(",", ":")).encode()
+            + b"\n"
+            + payload
+        )
+
+        def no_unpickling(*args, **kwargs):
+            raise AssertionError("a v7 payload was unpickled")
+
+        monkeypatch.setattr(snapshot.pickle, "loads", no_unpickling)
+        monkeypatch.setattr(snapshot._StateUnpickler, "load", no_unpickling)
+        with pytest.raises(CheckpointError, match="checkpoint version 7"):
+            load_checkpoint(checkpoint_path)
+
+    def test_layout_is_header_pool_state(self, checkpoint_path):
+        data = checkpoint_path.read_bytes()
+        _, pool_at, state_at = _sections(data)
+        pool = pickle.loads(data[pool_at:state_at])
+        assert set(pool) == snapshot._POOL_FIELDS
+        assert len(pool["txn_id"]) == 80
+        assert pool["workflows"] is False  # asets keeps no workflow set
+        assert pool_at < state_at < len(data)
+
+    @pytest.mark.parametrize("keep", [0, 5, 200], ids=["length", "head", "body"])
+    def test_truncated_pool_section(self, checkpoint_path, keep):
+        data = checkpoint_path.read_bytes()
+        header_end, pool_at, _ = _sections(data)
+        checkpoint_path.write_bytes(data[: header_end + 1 + keep])
+        with pytest.raises(CheckpointError, match="corrupt checkpoint payload"):
+            load_checkpoint(checkpoint_path)
+
+    def test_corrupt_pool_section(self, checkpoint_path):
+        data = checkpoint_path.read_bytes()
+        _, pool_at, state_at = _sections(data)
+        garbage = bytes(range(256)) * ((state_at - pool_at) // 256 + 1)
+        checkpoint_path.write_bytes(
+            data[:pool_at] + garbage[: state_at - pool_at] + data[state_at:]
+        )
+        with pytest.raises(CheckpointError, match="corrupt checkpoint payload"):
+            load_checkpoint(checkpoint_path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda pool: pool.pop("weight"),
+            lambda pool: pool["arrival"].pop(),
+            lambda pool: pool.update(txn_id=pool["txn_id"].tolist()),
+            lambda pool: pool["dep_counts"].__setitem__(0, 3),
+            lambda pool: pool["length"].__setitem__(0, -1.0),
+            lambda pool: pool["txn_id"].__setitem__(1, pool["txn_id"][0]),
+        ],
+        ids=["missing", "short", "untyped", "deps", "invalid", "duplicate"],
+    )
+    def test_inconsistent_pool_columns(self, checkpoint_path, edit):
+        data = checkpoint_path.read_bytes()
+        header_end, pool_at, state_at = _sections(data)
+        pool = pickle.loads(data[pool_at:state_at])
+        edit(pool)
+        section = pickle.dumps(pool)
+        checkpoint_path.write_bytes(
+            data[: header_end + 1]
+            + len(section).to_bytes(snapshot._LENGTH_BYTES, "little")
+            + section
+            + data[state_at:]
+        )
+        with pytest.raises(CheckpointError, match="corrupt checkpoint payload"):
+            load_checkpoint(checkpoint_path)
+
+    def test_pool_reference_out_of_range(self, checkpoint_path):
+        _rewrite_state(checkpoint_path, lambda state: None, shift=1000)
+        with pytest.raises(CheckpointError, match="out of range"):
+            load_checkpoint(checkpoint_path)
+
+    def test_pool_reference_outside_a_load(self):
+        with pytest.raises(CheckpointError, match="outside a checkpoint load"):
+            snapshot._pool_ref(0)
+
+    def test_slots_split_into_pool_and_state(self):
+        # Every slot is either a pool column or a per-save state column:
+        # a new slot that is neither would silently not survive a resume.
+        static = {name for name, _ in snapshot._POOL_COLUMNS} | {"depends_on"}
+        assert static.isdisjoint(snapshot._TXN_SLOTS)
+        assert static | set(snapshot._TXN_SLOTS) == set(Transaction.__slots__)
+        constructed = {"wf_id", "root_id", "_members", "_order", "_member_seq"}
+        assert constructed | set(snapshot._WORKFLOW_SLOTS) == set(
+            Workflow.__slots__
+        )
+
+    def test_nothing_from_the_pool_is_pickled_by_value(
+        self, tmp_path, monkeypatch
+    ):
+        # The mechanism, pinned: every save after the first reuses the
+        # pool bytes and writes each pool object as a reference, so no
+        # Transaction or Workflow ever reaches its own reduction.
+        workload = generate_workloads(
+            WorkloadSpec(n_transactions=120, utilization=0.9, with_workflows=True),
+            [3],
+        )[0]
+        golden = run_policy_on(workload, PolicySpec.of("asets-star"))
+
+        def by_value(self, protocol):
+            raise AssertionError(f"{type(self).__name__} pickled by value")
+
+        monkeypatch.setattr(Transaction, "__reduce_ex__", by_value)
+        monkeypatch.setattr(Workflow, "__reduce_ex__", by_value)
+        path = tmp_path / "run.ckpt"
+        checkpointer = Checkpointer(path)
+        run_policy_on(
+            workload,
+            PolicySpec.of("asets-star"),
+            checkpoint_every=30,
+            checkpointer=checkpointer,
+        )
+        assert checkpointer.saves >= 2
+        monkeypatch.undo()
+        checkpoint = load_checkpoint(path)
+        assert checkpoint.core["_workflows"] is not None
+        resumed = Simulator.resume_from(checkpoint).run()
+        assert resumed.records == golden.records
+
+    def test_a_pool_it_cannot_rebuild_is_refused_at_save(self, tmp_path):
+        # The load rebuilds the pool with the base constructors, so a
+        # subclass would resume as a different object: refuse it early.
+        class Tagged(Transaction):
+            __slots__ = ()
+
+        class Indexed(WorkflowSet):
+            pass
+
+        def pool(first=Transaction):
+            return [
+                first(1, arrival=0.0, length=2.0, deadline=4.0),
+                Transaction(2, arrival=0.0, length=1.0, deadline=2.0),
+            ]
+
+        tagged = pool(Tagged)
+        plain = pool()
+        for txns, workflow_set, match in (
+            (tagged, None, "holds a subclass"),
+            (plain, Indexed(plain), "has a Indexed"),
+        ):
+            with pytest.raises(CheckpointError, match=match):
+                Simulator(
+                    txns,
+                    PolicySpec.of("edf").make(),
+                    workflow_set=workflow_set,
+                    checkpoint_every=1,
+                    checkpointer=Checkpointer(tmp_path / "x.ckpt"),
+                ).run()
+
+    def test_save_and_load_leave_the_pool_to_reference_counting(self, tmp_path):
+        # Neither the save's pickler nor the load's unpickler may sit in
+        # a reference cycle: their memos hold every object they touched,
+        # so a cycle keeps a whole run's pool alive until a collection
+        # (an unpickler whose find_class returns one of its own bound
+        # methods memoizes that method, and so itself).
+        workload = generate_workloads(
+            WorkloadSpec(n_transactions=120, utilization=0.9, with_workflows=True),
+            [3],
+        )[0]
+        path = tmp_path / "run.ckpt"
+        gc.collect()
+        gc.disable()
+        try:
+            workflow_set = WorkflowSet(workload.transactions)
+            saved = weakref.ref(workflow_set)
+            checkpointer = Checkpointer(path)
+            Simulator(
+                workload.transactions,
+                PolicySpec.of("asets-star").make(),
+                workflow_set=workflow_set,
+                checkpoint_every=30,
+                checkpointer=checkpointer,
+            ).run()
+            assert checkpointer.saves >= 2
+            del workflow_set
+            assert saved() is None
+            loaded = weakref.ref(load_checkpoint(path).core["_workflows"])
+            assert loaded() is None
+        finally:
+            gc.enable()
+
+    def test_pool_bytes_are_built_once_per_engine(self, tmp_path, monkeypatch):
+        built = []
+        original = snapshot._Pool.__init__
+
+        def counting(self, engine):
+            built.append(engine)
+            original(self, engine)
+
+        monkeypatch.setattr(snapshot._Pool, "__init__", counting)
+        workload = generate_workloads(
+            WorkloadSpec(n_transactions=120, utilization=0.9), [3]
+        )[0]
+        checkpointer = Checkpointer(tmp_path / "run.ckpt")
+        run_policy_on(
+            workload, PolicySpec.of("edf"), checkpoint_every=20,
+            checkpointer=checkpointer,
+        )
+        assert checkpointer.saves >= 3
+        assert len(built) == 1
+        # A second engine (a fresh run) gets its own pool section.
+        run_policy_on(
+            workload, PolicySpec.of("edf"), checkpoint_every=20,
+            checkpointer=checkpointer,
+        )
+        assert len(built) == 2 and built[0] is not built[1]
 
 
 class TestCheckpointer:

@@ -130,6 +130,8 @@ CASES = {
 #: Captured from the CLI with the clocks above.  A resumed run prints
 #: the uninterrupted run's summary line, fault counts included, and its
 #: heartbeat's final ``[hb] done`` line counts the whole run's summary.
+#: A resumed heartbeat is primed from the checkpoint (``done=…/300``) and
+#: reads its wall epoch at the resume: one clock read more than before.
 GOLDEN = {
     "buffered": [
         {
@@ -240,7 +242,7 @@ GOLDEN = {
                 "asets: n=300 avg_tardiness=19.617 scheduling_points=977 preemptions=129 aborted=13 shed=0 retries=56",
             ],
             "stderr": [
-                "[hb] x177 3495c31d340352a4",
+                "[hb] x178 b29426647e80efdc",
                 "resumed <tmp>/r.ckpt at event 800 (t=5146.22)",
                 "event log (808 records) written to <tmp>/r.jsonl",
             ],
@@ -310,7 +312,7 @@ GOLDEN = {
                 "asets: n=300 avg_tardiness=19.617 tardiness_p99=314.235 miss_ratio=0.4007 scheduling_points=977",
             ],
             "stderr": [
-                "[hb] x177 3495c31d340352a4",
+                "[hb] x178 b29426647e80efdc",
                 "resumed <tmp>/w.ckpt at event 800 (t=5146.22)",
                 "event log (872 records) continued at <tmp>/w.jsonl",
             ],
@@ -458,3 +460,39 @@ def test_buffered_and_streamed_logs_share_one_sampling_path(
     assert names == sorted(path.name for path in streamed.iterdir())
     for name in names:
         assert (buffered / name).read_bytes() == (streamed / name).read_bytes()
+
+
+def test_resumed_heartbeat_counts_against_the_checkpointed_run(
+    tmp_path, capsys, monkeypatch
+):
+    """A resumed run's beats read ``done=…/N`` with the checkpoint's ``N``
+    and a positive rate, on a wall clock that starts at the resume."""
+    import re
+
+    import repro.obs.progress as progress
+
+    ticks = itertools.count()
+    # The process clock is far from zero, as perf_counter() usually is;
+    # each read advances it by 1 ms.
+    monkeypatch.setattr(
+        progress, "perf_counter", lambda: 10_000.0 + next(ticks) / 1000
+    )
+    fresh = ["run", "--policy", "asets", "--n", "3000"]
+    _run(
+        fresh + ["--checkpoint-every", "2000", "--checkpoint-out", "{tmp}/hb.ckpt"],
+        tmp_path,
+        capsys,
+    )
+    _, stderr = _run(
+        ["run", "--resume", "{tmp}/hb.ckpt", "--progress=0.5"], tmp_path, capsys
+    )
+    beats = [line for line in stderr if line.startswith("[hb] t=")]
+    assert beats
+    for line in beats:
+        done, n = map(int, re.search(r"done=(\d+)/(\d+)", line).groups())
+        assert n == 3000 and 0 < done <= n
+        assert int(re.search(r"rate=(\d+)/s", line).group(1)) > 0
+    (final,) = [line for line in stderr if line.startswith("[hb] done")]
+    assert "completed=3000/3000" in final
+    assert int(re.search(r"rate=(\d+)/s", final).group(1)) > 0
+    assert float(re.search(r"wall=([\d.]+)s", final).group(1)) < len(beats) + 1

@@ -57,3 +57,19 @@ def test_bool_and_iter():
     q.push(ev(1.0))
     assert q
     assert len(list(iter(q))) == 1
+
+
+@pytest.mark.parametrize("size", [0, 1, 50])
+def test_pickle_round_trip_keeps_the_heap(size):
+    import pickle
+
+    q = EventQueue()
+    q.push_all(
+        Event(float(i % 7), EventKind(i % 7), i, None if i % 3 else i, i % 5)
+        for i in range(size)
+    )
+    back = pickle.loads(pickle.dumps(q))
+    assert back._heap == q._heap
+    assert all(type(event) is Event for event in back._heap)
+    assert all(type(event.kind) is EventKind for event in back._heap)
+    assert [back.pop() for _ in range(size)] == [q.pop() for _ in range(size)]
