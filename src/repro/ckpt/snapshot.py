@@ -5,7 +5,7 @@ File layout
 A checkpoint is one binary file::
 
     b"REPROCKPT\\n"            -- magic, rejects alien files cheaply
-    {"version": 8, ...}\\n      -- JSON header line (UTF-8)
+    {"version": 9, ...}\\n      -- JSON header line (UTF-8)
     <8-byte length>            -- little-endian size of the pool section
     <pool section>             -- the workload-static transaction pool
     <state section>            -- one pickle of what the run changed
@@ -110,7 +110,10 @@ CKPT_MAGIC = b"REPROCKPT\n"
 #: Version 8: the payload is a pool section of static transaction
 #: columns followed by a state pickle that writes pool objects as
 #: references; a version-7 payload is one pickle of the whole graph.
-CKPT_VERSION = 8
+#: Version 9: ``ASETS`` and ``Ready`` snapshot a reduced state (their
+#: singleton view is rebuilt on load) and no policy keeps a copy of the
+#: pool; a version-8 state pickles both whole.
+CKPT_VERSION = 9
 
 #: Keys every checkpoint header must carry.
 _HEADER_FIELDS = frozenset(
@@ -259,16 +262,17 @@ def _reference_table(objects: tuple[object, ...]) -> dict[type, object]:
 
     A table rather than a ``reducer_override``: the pickler calls it only
     for objects of the pool's types, not for every object it writes.
-    The ``(index,)`` arguments are built once, because the pickler memo
-    keeps every argument tuple it writes alive until the dump ends.
+    It is built once per engine and a save writes few references, so the
+    table maps ids to indices and each reference's arguments are built
+    when it is written.
     """
-    refs = {id(obj): (index,) for index, obj in enumerate(objects)}
+    refs = dict(zip(map(id, objects), range(len(objects))))
 
     def reduce(obj: object) -> object:
-        args = refs.get(id(obj))
-        if args is None:
+        index = refs.get(id(obj))
+        if index is None:
             return obj.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
-        return _pool_ref, args
+        return _pool_ref, (index,)
 
     return {**copyreg.dispatch_table, **dict.fromkeys(map(type, objects), reduce)}
 

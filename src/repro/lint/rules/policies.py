@@ -25,9 +25,8 @@ transcript and the run would no longer replay.
 
 RL008: policies rank by the scheduler's *belief*, never the engine's
 ground truth.  ``remaining`` is the true remaining processing time the
-engine charges against; policy code reading it (or ``believed_remaining``,
-an earlier name of the belief that stays on the list) is an oracle leak:
-with inexact length estimates
+engine charges against; policy code reading it is an oracle leak: with
+inexact length estimates
 (``WorkloadSpec.length_estimate_error > 0``) the policy would rank by
 information the system cannot have (§II-A), silently inflating its
 results.  The leak is invisible under the default exact estimates —
@@ -42,6 +41,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+from repro.ckpt.snapshot import _TXN_SLOTS
 from repro.lint.engine import ModuleContext, ProjectContext, ProjectRule, Rule
 from repro.lint.findings import Finding
 
@@ -65,17 +65,10 @@ ROOT_BASES = {
 
 REQUIRED_METHODS = ("on_ready", "select")
 
-#: Transaction fields only the engine may write.
-ENGINE_OWNED_ATTRS = {
-    "state",
-    "remaining",
-    "believed_remaining",
-    "scheduling_remaining",
-    "finish_time",
-    "first_start_time",
-    "last_dispatch_time",
-    "preemptions",
-}
+#: Transaction fields only the engine may write: the slots a run
+#: changes, one list shared with the checkpoint, which writes exactly
+#: these at every save.
+ENGINE_OWNED_ATTRS = frozenset(_TXN_SLOTS)
 
 #: Transaction lifecycle methods only the engine may call.
 LIFECYCLE_METHODS = {
@@ -94,7 +87,7 @@ ENGINE_INTERNALS = {"_events", "_running", "_pending_deps"}
 
 #: Ground-truth remaining-time attributes policies must never *read*
 #: (RL008); ``scheduling_remaining`` is the sanctioned accessor.
-ORACLE_REMAINING_ATTRS = {"remaining", "believed_remaining"}
+ORACLE_REMAINING_ATTRS = {"remaining"}
 
 
 @dataclass
@@ -383,8 +376,8 @@ class NoOracleRemainingRead(Rule):
 
     rule_id = "RL008"
     summary = (
-        "no reads of Transaction.remaining / believed_remaining from "
-        "repro.policies; rank by scheduling_remaining (the belief)"
+        "no reads of Transaction.remaining from repro.policies; rank by "
+        "scheduling_remaining (the belief)"
     )
 
     def check_module(self, module: ModuleContext) -> Iterable[Finding]:

@@ -1,10 +1,10 @@
 """RL010 — believed-vs-true basis taint tracking.
 
-RL008 bans *direct* loads of ``Transaction.remaining`` /
-``believed_remaining`` inside ``repro.policies`` — but the pre-PR-4
-ASETS* leak showed the same oracle read slipping through a local
-variable, a same-module helper's return value, a ``getattr`` call, or a
-comprehension, none of which a per-statement rule can see.  RL010
+RL008 bans *direct* loads of ``Transaction.remaining`` inside
+``repro.policies`` — but the pre-PR-4 ASETS* leak showed the same
+oracle read slipping through a local variable, a same-module helper's
+return value, a ``getattr`` call, or a comprehension, none of which a
+per-statement rule can see.  RL010
 closes that blind spot with the dataflow engine of
 :mod:`repro.lint.dataflow`: ground-truth reads become *taint labels*
 that propagate through assignments, arithmetic, container literals,
@@ -52,7 +52,7 @@ __all__ = ["BelievedBasisTaint"]
 TAINT_SCOPES = ("repro.policies", "repro.faults", "repro.obs.streaming")
 
 #: Ground-truth / raw-store attributes that seed taint (RL008's set).
-ORACLE_ATTRS = frozenset({"remaining", "believed_remaining"})
+ORACLE_ATTRS = frozenset({"remaining"})
 
 #: Calls whose arguments (or ``key=``) are ranking expressions.
 RANKING_CALLS = frozenset(
@@ -121,9 +121,9 @@ class BelievedBasisTaint(Rule):
 
     rule_id = "RL010"
     summary = (
-        "no value derived from remaining/believed_remaining (taint-"
-        "tracked through locals, helpers, containers) reaches a policy "
-        "decision site; rank by scheduling_remaining"
+        "no value derived from remaining (taint-tracked through locals, "
+        "helpers, containers) reaches a policy decision site; rank by "
+        "scheduling_remaining"
     )
 
     def check_module(self, module: ModuleContext) -> Iterable[Finding]:

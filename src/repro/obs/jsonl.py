@@ -60,8 +60,8 @@ Reading is strict by default: a missing/alien header or an unparseable
 line raises :class:`~repro.errors.ObservabilityError`.  Pass
 ``strict=False`` to read partial logs (e.g. from an aborted run), or use
 :func:`read_tolerant` to accept a log whose *final* line was cut short
-by a crash (the writer flushes per event, so at most one trailing line
-can ever be torn).
+by a crash (a writer issues one unbuffered write per record and keeps
+nothing in user space, so at most one trailing line can ever be torn).
 
 Rotation
 --------
@@ -87,7 +87,8 @@ import os
 import pathlib
 import warnings
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Mapping, Protocol
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import BinaryIO, Iterable, Iterator, Mapping, Protocol
 
 from repro.errors import CheckpointError, ObservabilityError
 
@@ -110,9 +111,29 @@ __all__ = [
 #: Current event-log schema version; bumped on incompatible changes.
 SCHEMA_VERSION = 1
 
-#: The one compact line encoder of every writer.  It escapes to ASCII,
-#: so a line's ``len`` is its size in bytes.
-_encode = json.JSONEncoder(separators=(",", ":")).encode
+#: The one compact line encoder of every writer, built once: the C
+#: encoder ``JSONEncoder.iterencode`` would build for every line, with
+#: the arguments it passes there (no circular-reference markers, since a
+#: record is a tree of plain values).  It escapes to ASCII, so a line's
+#: ``len`` is its size in bytes.  Without the C accelerator the pure
+#: encoder writes the same text.
+if c_make_encoder is None:  # pragma: no cover - CPython ships _json
+    _encode = json.JSONEncoder(separators=(",", ":")).encode
+else:
+    _chunks = c_make_encoder(
+        None,
+        json.JSONEncoder().default,
+        encode_basestring_ascii,
+        None,
+        ":",
+        ",",
+        False,
+        False,
+        True,
+    )
+
+    def _encode(record: dict) -> str:
+        return "".join(_chunks(record, 0))
 
 #: Event kinds an :class:`EventSampler` must never drop: run framing,
 #: aggregate window snapshots, and whole-system fault transitions.
@@ -232,10 +253,36 @@ class EventSink(Protocol):
     def write(self, record: dict) -> None: ...  # pragma: no cover
 
 
+def _line(record: dict) -> bytes:
+    """``record`` as one log line: compact JSON and a newline, in ASCII
+    (UTF-8 of an ASCII line is the same bytes)."""
+    return (_encode(record) + "\n").encode()
+
+
+def _write_all(file: BinaryIO, data: bytes) -> None:
+    """Hand ``data`` to an unbuffered file, looping on short writes.
+
+    The file has no user-space buffer, so each line is with the kernel
+    once this returns: a killed process loses at most the line it was
+    writing, with no flush to call.
+    """
+    written = file.write(data)
+    while written < len(data):
+        data = data[written:]
+        written = file.write(data)
+
+
+def _open(path: pathlib.Path, mode: str) -> BinaryIO:
+    """An unbuffered binary handle on a log file (``"wb"`` or ``"ab"``)."""
+    return path.open(mode, buffering=0)
+
+
 class JsonlWriter:
     """Stream records to a ``.jsonl`` file, one JSON object per line.
 
-    Usable as a context manager::
+    Each record is one unbuffered write of its encoded line, so a crash
+    loses at most the line being written.  Usable as a context
+    manager::
 
         with JsonlWriter(path) as out:
             for record in events:
@@ -244,26 +291,23 @@ class JsonlWriter:
 
     def __init__(self, path: str | pathlib.Path) -> None:
         self.path = pathlib.Path(path)
-        self._file: IO[str] | None = self.path.open("w", encoding="utf-8")
+        self._file: BinaryIO | None = _open(self.path, "wb")
         self.records_written = 0
 
     def write(self, record: dict) -> None:
         if self._file is None:
             raise ObservabilityError(f"writer for {self.path} already closed")
-        self._file.write(_encode(record) + "\n")
-        # Crash tolerance: flush per event so a killed process loses at
-        # most the line it was writing — which :func:`read_tolerant`
-        # then tolerates instead of rejecting the whole log.
-        self._file.flush()
+        _write_all(self._file, _line(record))
         self.records_written += 1
 
     def ckpt_state(self) -> dict:
         """Checkpoint state: the position to truncate-and-continue from.
 
-        Only the path and the committed record count are needed: every
-        record is flushed before the engine can checkpoint past it, so
-        a resume cuts the file back to ``records`` complete lines and
-        reopens it for append (:meth:`resume`).
+        Only the path and the committed record count are needed: each
+        record is one unbuffered write, done before the engine can
+        checkpoint past it, so a resume cuts the file back to
+        ``records`` complete lines and reopens it for append
+        (:meth:`resume`).
         """
         return {
             "writer": "plain",
@@ -285,7 +329,7 @@ class JsonlWriter:
         _truncate_to_records(path, records)
         writer = cls.__new__(cls)
         writer.path = path
-        writer._file = path.open("a", encoding="utf-8")
+        writer._file = _open(path, "ab")
         writer.records_written = records
         return writer
 
@@ -330,13 +374,13 @@ class RotatingJsonlWriter:
         self.records_written = 0
         self._part_bytes = 0
         self._part_records = 0
-        self._file: IO[str] | None = None
+        self._file: BinaryIO | None = None
         self._open_part()
 
     def _open_part(self) -> None:
         part = self._dir / f"{self._stem}-{len(self.parts) + 1:04d}.jsonl"
         self.parts.append(part)
-        self._file = part.open("w", encoding="utf-8")
+        self._file = _open(part, "wb")
         self._part_bytes = 0
         self._part_records = 0
         self._write_manifest()
@@ -363,14 +407,12 @@ class RotatingJsonlWriter:
     def write(self, record: dict) -> None:
         if self._file is None:
             raise ObservabilityError(f"writer for {self.path} already closed")
-        line = _encode(record) + "\n"
-        size = len(line)
+        data = _line(record)
+        size = len(data)
         if self._part_records and self._part_bytes + size > self.max_bytes:
             self._file.close()
             self._open_part()
-        assert self._file is not None
-        self._file.write(line)
-        self._file.flush()
+        _write_all(self._file, data)  # type: ignore[arg-type]
         self._part_bytes += size
         self._part_records += 1
         self.records_written += 1
@@ -432,7 +474,7 @@ class RotatingJsonlWriter:
         writer.records_written = int(state["records"])
         writer._part_bytes = int(state["part_bytes"])
         writer._part_records = int(state["part_records"])
-        writer._file = parts[-1].open("a", encoding="utf-8")
+        writer._file = _open(parts[-1], "ab")
         writer._write_manifest()
         return writer
 
@@ -760,8 +802,8 @@ def read_tolerant(
 ) -> tuple[list[dict], int]:
     """Read an event log, tolerating a truncated *final* line.
 
-    The per-event flush of :class:`JsonlWriter` guarantees a crashed run
-    loses at most the one line it was mid-write, so only the last
+    A writer issues one unbuffered write per record, so a crashed run
+    loses at most the one line it was mid-write, and only the last
     non-empty line may legally fail to parse: it is dropped with a
     :class:`UserWarning` and counted in the returned
     ``(records, truncated_lines)`` pair.

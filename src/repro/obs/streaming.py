@@ -106,6 +106,16 @@ __all__ = [
 MIN_TRACKABLE = 1e-12
 
 
+def _never(_txn_id: int = 0) -> bool:
+    """The sampling predicate of a recorder without a sink."""
+    return False
+
+
+def _always(_txn_id: int = 0) -> bool:
+    """The sampling predicate of an unsampled sink."""
+    return True
+
+
 def _scalar_state(obj: object, names: Iterable[str]) -> dict:
     """Checkpoint state of ``obj``'s scalar attributes ``names``, keyed
     without their leading underscore."""
@@ -595,17 +605,23 @@ class WindowAggregator:
             self._busy += self._last_running * (until - self._last_time)
             self._last_time = until
 
+    @property
+    def end(self) -> float:
+        """Where the open window ends: the next :meth:`advance` at or
+        past this time closes it."""
+        return (self._index + 1) * self.width
+
     def advance(self, now: float) -> list[dict]:
         """Close every window ending at or before ``now``; return their
         snapshot records (often empty, bounded by elapsed sim time)."""
         out: list[dict] = []
-        boundary = (self._index + 1) * self.width
+        boundary = self.end
         while now >= boundary:
             self._integrate(boundary)
             out.append(self._snapshot(boundary, partial=False))
             self._index += 1
             self._reset_counters()
-            boundary = (self._index + 1) * self.width
+            boundary = self.end
         return out
 
     def observe_arrival(self) -> None:
@@ -793,6 +809,17 @@ class StreamingRecorder(Instrument):
         self._windows: WindowAggregator | None = None
         self._sampler = EventSampler(sample) if sample != 1.0 else None
         self._sink = sink
+        # The sampling rule, resolved once: whether a transaction's
+        # records, and whether the next ``sched`` point, reach the sink.
+        if sink is None:
+            self._keeps_txn = self._keeps_sched = _never
+        elif self._sampler is None:
+            self._keeps_txn = self._keeps_sched = _always
+        else:
+            self._keeps_txn = self._sampler.keeps_txn
+            self._keeps_sched = self._sampler.keeps_sched
+        #: The open window's end; no hook reaches the windows before it.
+        self._window_end = math.inf
         self._policy = "?"
         self._n = 0
         self._servers = 1
@@ -807,22 +834,16 @@ class StreamingRecorder(Instrument):
         self._crashes = 0
         self._stalls = 0
 
-    def _tick(self, now: float) -> None:
+    def _close_windows(self, now: float) -> None:
+        """Close the windows ending at or before ``now``; hooks call it
+        only once ``now`` reaches :attr:`_window_end`."""
         windows = self._windows
-        # Most hooks land inside the open window: nothing to close.
-        if now < (windows._index + 1) * windows.width:
-            return
+        assert windows is not None
         # Window snapshots are aggregates: the sampler always keeps them.
         for snapshot in windows.advance(now):
             if self._sink is not None:
                 self._sink.write(snapshot)
-
-    def _logs(self, txn: "Transaction") -> bool:
-        """Whether ``txn``'s records reach the sink; asked before one is
-        built, so an unsampled transaction's events cost nothing."""
-        return self._sink is not None and (
-            self._sampler is None or self._sampler.keeps_txn(txn.txn_id)
-        )
+        self._window_end = windows.end
 
     # ------------------------------------------------------------------
     # Instrument callbacks.
@@ -841,6 +862,7 @@ class StreamingRecorder(Instrument):
         self._servers = servers
         if self._window_width is not None:
             self._windows = WindowAggregator(self._window_width, servers)
+            self._window_end = self._windows.end
         if self._sink is not None:
             header = run_start_record(
                 SCHEMA_VERSION, policy_name, n_transactions, servers
@@ -852,36 +874,37 @@ class StreamingRecorder(Instrument):
             self._sink.write(header)
 
     def on_arrival(self, txn: "Transaction", now: float) -> None:
+        if now >= self._window_end:
+            self._close_windows(now)
         if self._windows is not None:
-            self._tick(now)
             self._windows.observe_arrival()
-        if self._logs(txn):
+        if self._keeps_txn(txn.txn_id):
             self._sink.write(arrival_record(txn, now))
 
     def on_dispatch(self, txn: "Transaction", now: float, overhead: float) -> None:
-        if self._windows is not None:
-            self._tick(now)
+        if now >= self._window_end:
+            self._close_windows(now)
         self._dispatches += 1
-        if self._logs(txn):
+        if self._keeps_txn(txn.txn_id):
             self._sink.write(dispatch_record(txn, now, overhead))
 
     def on_preempt(self, txn: "Transaction", now: float) -> None:
-        if self._logs(txn):
+        if self._keeps_txn(txn.txn_id):
             self._sink.write(preempt_record(txn, now))
 
     def on_overhead(self, txn: "Transaction", amount: float, now: float) -> None:
         self._overhead_paid += amount
-        if self._logs(txn):
+        if self._keeps_txn(txn.txn_id):
             self._sink.write(overhead_record(txn, amount, now))
 
     def on_completion(self, txn: "Transaction", now: float) -> None:
-        if self._windows is not None:
-            self._tick(now)
+        if now >= self._window_end:
+            self._close_windows(now)
         late = tardiness(now, txn.deadline)
         self.telemetry.observe_completion(txn.txn_id, late, now - txn.arrival)
         if self._windows is not None:
             self._windows.observe_completion(late)
-        if self._logs(txn):
+        if self._keeps_txn(txn.txn_id):
             self._sink.write(completion_record(txn, now, late))
         elif self._sink is not None and EventSampler.keeps_unsampled(
             "completion", late
@@ -892,7 +915,7 @@ class StreamingRecorder(Instrument):
 
     def on_stall(self, txn: "Transaction", amount: float, now: float) -> None:
         self._stalls += 1
-        if self._logs(txn):
+        if self._keeps_txn(txn.txn_id):
             self._sink.write(stall_record(txn, amount, now))
 
     def on_abort(
@@ -903,15 +926,15 @@ class StreamingRecorder(Instrument):
         attempt: int,
         exhausted: bool,
     ) -> None:
-        if self._windows is not None:
-            self._tick(now)
-        if self._logs(txn):
+        if now >= self._window_end:
+            self._close_windows(now)
+        if self._keeps_txn(txn.txn_id):
             self._sink.write(abort_record(txn, now, lost, attempt, exhausted))
 
     def on_retry(
         self, txn: "Transaction", now: float, attempt: int, deadline: float
     ) -> None:
-        if self._logs(txn):
+        if self._keeps_txn(txn.txn_id):
             self._sink.write(retry_record(txn, now, attempt, deadline))
 
     def on_crash(self, now: float, down: int) -> None:
@@ -924,9 +947,9 @@ class StreamingRecorder(Instrument):
             self._sink.write(recover_record(now, down))
 
     def on_shed(self, txn: "Transaction", now: float, reason: str) -> None:
-        if self._windows is not None:
-            self._tick(now)
-        if self._logs(txn):
+        if now >= self._window_end:
+            self._close_windows(now)
+        if self._keeps_txn(txn.txn_id):
             self._sink.write(shed_record(txn, now, reason))
 
     def on_scheduling_point(
@@ -939,12 +962,11 @@ class StreamingRecorder(Instrument):
         self._ready_sum += ready
         if ready > self._max_ready:
             self._max_ready = ready
+        if now >= self._window_end:
+            self._close_windows(now)
         if self._windows is not None:
-            self._tick(now)
             self._windows.observe_point(now, ready, running)
-        if self._sink is not None and (
-            self._sampler is None or self._sampler.keeps_sched()
-        ):
+        if self._keeps_sched():
             self._sink.write(sched_record(now, ready, running, select_seconds))
 
     def on_run_end(self, now: float, summary: "StreamSummary") -> None:
@@ -1054,6 +1076,7 @@ class StreamingRecorder(Instrument):
         self.telemetry = RunTelemetry.from_state(state["telemetry"])
         if state["windows"] is not None:
             self._windows = WindowAggregator.from_state(state["windows"])
+            self._window_end = self._windows.end
         if self._sampler is not None:
             self._sampler._sched_seen = int(state["sched_seen"])
         _restore_scalars(self, state, self._SCALARS)

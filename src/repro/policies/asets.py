@@ -30,11 +30,13 @@ coincide decision for decision:
 
 from __future__ import annotations
 
-from typing import Sequence
+from operator import attrgetter
+from typing import Mapping, Sequence
 
 from repro.core.transaction import Transaction, TransactionState
 from repro.core.workflow import Workflow
 from repro.core.workflow_set import WorkflowSet
+from repro.errors import SchedulingError
 from repro.policies.asets_star import ASETSStar
 
 __all__ = ["ASETS"]
@@ -42,6 +44,34 @@ __all__ = ["ASETS"]
 _READY = TransactionState.READY
 _RUNNING = TransactionState.RUNNING
 _WAITING = TransactionState.WAITING
+_INF = float("inf")
+
+#: The singleton slots a run changes; a snapshot carries them as columns.
+_SINGLETON_SLOTS = (
+    "_dirty",
+    "_rep",
+    "has_pending",
+    "head_txn",
+    "rep_deadline",
+    "rep_scheduling_remaining",
+)
+_SINGLETON_GETTERS = tuple(map(attrgetter, _SINGLETON_SLOTS))
+
+#: Keys of an :meth:`ASETS.snapshot`.
+_SNAPSHOT_FIELDS = frozenset(
+    {
+        "weighted",
+        "txns",
+        "singletons",
+        "serial",
+        "side",
+        "edf",
+        "hdf",
+        "alarm",
+        "dirty",
+        "dirty_weak",
+    }
+)
 
 
 class _Singleton(Workflow):
@@ -50,8 +80,8 @@ class _Singleton(Workflow):
     Skips the closure validation and the toposort of the general
     constructor, and refreshes in O(1) without touching the weight: the
     weight is fixed at construction (unit for unweighted ASETS).  A
-    singleton starts dirty, so its aggregate slots are first set by the
-    refresh that every reader runs before looking at them.
+    singleton starts dirty, so its aggregate slots are first read after
+    the refresh that every reader runs before looking at them.
     """
 
     __slots__ = ()
@@ -63,6 +93,11 @@ class _Singleton(Workflow):
         self._order = (txn.txn_id,)
         self._member_seq = (txn,)
         self._dirty = True
+        self._rep = None
+        self.has_pending = False
+        self.head_txn = None
+        self.rep_deadline = _INF
+        self.rep_scheduling_remaining = _INF
         self.rep_weight = weight
 
     def _refresh(self) -> None:
@@ -118,6 +153,57 @@ class ASETS(ASETSStar):
 
     def on_arrival(self, txn: Transaction, now: float) -> None:
         """Nothing to do: a singleton is runnable only from its ``on_ready``."""
+
+    def snapshot(self) -> dict:
+        """Reduced checkpoint state: the singleton view is rebuilt on load.
+
+        The view's transactions ride as pool references, in view order;
+        the singletons' changing slots as columns; heap entries and
+        dirty marks by ``wf_id``.  Pickling the view itself would write
+        every singleton by value, since none of them is a pool object.
+        """
+        view = self._workflow_set
+        if not isinstance(view, _SingletonSet):
+            raise SchedulingError(f"{type(self).__name__} is not bound to a run")
+        singletons = view._workflows
+        return {
+            "weighted": self.weighted,
+            "txns": tuple(wf._member_seq[0] for wf in singletons),
+            "singletons": [list(map(get, singletons)) for get in _SINGLETON_GETTERS],
+            "serial": self._serial,
+            "side": self._side,
+            "edf": [entry[:3] for entry in self._edf],
+            "hdf": [entry[:3] for entry in self._hdf],
+            "alarm": [entry[:3] for entry in self._alarm],
+            "dirty": list(self._dirty),
+            "dirty_weak": list(self._dirty_weak),
+        }
+
+    @classmethod
+    def restore(cls, state: object) -> "ASETS":
+        """Inverse of :meth:`snapshot`: bind to the snapshot's transactions,
+        then put back every slot, heap entry and mark the run changed."""
+        if not isinstance(state, Mapping) or set(state) != _SNAPSHOT_FIELDS:
+            raise SchedulingError(
+                f"{cls.__name__}.restore() expected a {cls.__name__} snapshot"
+            )
+        policy = cls(weighted=state["weighted"])
+        policy.bind(state["txns"], None)
+        singletons = policy._workflow_set._workflows  # type: ignore[union-attr]
+        for slot, column in zip(_SINGLETON_SLOTS, state["singletons"], strict=True):
+            for wf, value in zip(singletons, column, strict=True):
+                setattr(wf, slot, value)
+        policy._serial = list(state["serial"])
+        policy._side = list(state["side"])
+        policy._edf, policy._hdf, policy._alarm = (
+            [(key, wf_id, serial, singletons[wf_id]) for key, wf_id, serial in heap]
+            for heap in (state["edf"], state["hdf"], state["alarm"])
+        )
+        policy._dirty, policy._dirty_weak = (
+            {wf_id: singletons[wf_id] for wf_id in marks}
+            for marks in (state["dirty"], state["dirty_weak"])
+        )
+        return policy
 
     def _touch(self, txn: Transaction, dirty: dict[int, Workflow]) -> None:
         wf = self._singleton_of[txn.txn_id]

@@ -76,7 +76,6 @@ class Scheduler(abc.ABC):
     _stages: ClassVar[dict[str, str]] = {}
 
     def __init__(self) -> None:
-        self._transactions: dict[int, Transaction] = {}
         self._workflow_set: "WorkflowSet | None" = None
 
     # ------------------------------------------------------------------
@@ -90,12 +89,12 @@ class Scheduler(abc.ABC):
         """Attach the policy to a run.  Called once before simulation.
 
         Raises :class:`~repro.errors.SchedulingError` on duplicate
-        transaction ids: building the dict would silently drop all but the
-        last duplicate, and the policy's view of the pool would diverge
-        from the engine's.
+        transaction ids: a policy keyed by id would silently drop all but
+        the last duplicate, and its view of the pool would diverge from
+        the engine's.  The policy keeps no copy of the pool itself, so a
+        checkpoint of it holds only what the run changed.
         """
-        self._transactions = {txn.txn_id: txn for txn in transactions}
-        if len(self._transactions) != len(transactions):
+        if len({txn.txn_id for txn in transactions}) != len(transactions):
             counts: dict[int, int] = {}
             for txn in transactions:
                 counts[txn.txn_id] = counts.get(txn.txn_id, 0) + 1

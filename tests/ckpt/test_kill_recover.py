@@ -21,8 +21,12 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
+
+from repro.ckpt import load_checkpoint
+from repro.obs.jsonl import read_tolerant
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 CLI = [sys.executable, "-m", "repro.experiments"]
@@ -113,6 +117,13 @@ class TestKillAndResumeRun:
             pytest.skip("run finished before SIGKILL landed")
 
         assert proc.returncode == -signal.SIGKILL
+        # What the kill left: every record written before the save, and
+        # at most the one line being written when the signal landed.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            killed, torn = read_tolerant(killed_log)
+        assert torn <= 1
+        assert len(killed) >= load_checkpoint(ckpt).writer_state["records"]
         resumed = _cli("run", "--resume", str(ckpt))
         assert resumed.returncode == 0, resumed.stderr
         assert "resumed" in resumed.stderr

@@ -14,5 +14,5 @@ class Oracle:
     def density(self, rep) -> float:
         return -(rep.weight / rep.remaining)
 
-    def raw_belief(self, txn) -> float:
-        return txn.believed_remaining
+    def raw_truth(self, txn) -> float:
+        return txn.remaining

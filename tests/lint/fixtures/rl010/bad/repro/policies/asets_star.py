@@ -36,7 +36,7 @@ class ASETSStarOld:
             key=lambda wf: (  # leak 3: HDF density on the true basis
                 -(
                     wf.representative().weight
-                    / wf.representative().believed_remaining
+                    / wf.representative().remaining
                 ),
                 wf.wf_id,
             )

@@ -141,6 +141,22 @@ class TestRL005:
         assert len(findings) == 1
         assert "`scheduling_remaining`" in findings[0].message
 
+    def test_flags_writes_to_every_slot_a_run_changes(self, tmp_path):
+        # A retry moves the deadline and counts the attempt; both are the
+        # engine's, like the preemption count.
+        mod = tmp_path / "repro" / "policies" / "rogue.py"
+        mod.parent.mkdir(parents=True)
+        mod.write_text(
+            "__all__ = []\n"
+            "def tamper(txn):\n"
+            "    txn.deadline = 0.0\n"
+            "    txn.retries = 0\n"
+            "    txn.attempt_served = 0.0\n"
+            "    txn.preemptions = 0\n"
+        )
+        findings = run_lint([mod], select=["RL005"])
+        assert [f.line for f in findings] == [3, 4, 5, 6]
+
 
 class TestRL006:
     def test_unguarded_hook_names_the_hook(self):
@@ -159,9 +175,8 @@ class TestRL008:
     def test_flags_the_pre_fix_asets_star_reads(self):
         findings = findings_for("RL008", "bad")
         messages = "\n".join(f.message for f in findings)
-        assert len(findings) == 3  # feasibility, density, believed store
-        assert "`remaining`" in messages
-        assert "`believed_remaining`" in messages
+        assert len(findings) == 3  # feasibility, density, raw truth
+        assert all("`remaining`" in f.message for f in findings)
         assert "oracle leak" in messages
 
     def test_self_attribute_of_same_name_is_fine(self):
@@ -210,7 +225,7 @@ class TestRL010:
         messages = "\n".join(f.message for f in findings)
         assert "scheduling_remaining" in messages
         assert 'getattr(..., "remaining")' in messages
-        assert "`.believed_remaining`" in messages
+        assert "`.remaining`" in messages
 
     def test_rl008_misses_the_laundered_feasibility_site(self):
         # The point of the upgrade: RL008 sees no ast.Attribute load on
