@@ -65,7 +65,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, BinaryIO, Callable, Mapping
 
 from repro.core.transaction import Transaction
-from repro.core.workflow import Workflow
+from repro.core.workflow import AGGREGATE_SLOTS, Workflow
 from repro.core.workflow_set import WorkflowSet
 from repro.errors import CheckpointError
 from repro.sim.soa import TxnTable
@@ -110,9 +110,9 @@ CKPT_MAGIC = b"REPROCKPT\n"
 #: Version 8: the payload is a pool section of static transaction
 #: columns followed by a state pickle that writes pool objects as
 #: references; a version-7 payload is one pickle of the whole graph.
-#: Version 9: ``ASETS`` and ``Ready`` snapshot a reduced state (their
-#: singleton view is rebuilt on load) and no policy keeps a copy of the
-#: pool; a version-8 state pickles both whole.
+#: Version 9: the ``ASETS``/``Ready`` singleton view pickles as columns
+#: and no policy keeps a copy of the pool; a version-8 state pickles
+#: every singleton by value and every policy's id-to-transaction map.
 CKPT_VERSION = 9
 
 #: Keys every checkpoint header must carry.
@@ -169,17 +169,9 @@ _TXN_SLOTS = (
     "attempt_served",
 )
 
-#: Workflow slots a run changes (the cached aggregates), written at
-#: every save; membership and order are rebuilt by the constructor.
-_WORKFLOW_SLOTS = (
-    "_dirty",
-    "_rep",
-    "has_pending",
-    "rep_deadline",
-    "rep_scheduling_remaining",
-    "rep_weight",
-    "head_txn",
-)
+#: Workflow slots a run changes, written at every save; membership and
+#: order are rebuilt by the constructor.
+_WORKFLOW_SLOTS = AGGREGATE_SLOTS
 
 _TXN_GETTERS = tuple(map(attrgetter, _TXN_SLOTS))
 _WORKFLOW_GETTERS = tuple(map(attrgetter, _WORKFLOW_SLOTS))
@@ -262,17 +254,16 @@ def _reference_table(objects: tuple[object, ...]) -> dict[type, object]:
 
     A table rather than a ``reducer_override``: the pickler calls it only
     for objects of the pool's types, not for every object it writes.
-    It is built once per engine and a save writes few references, so the
-    table maps ids to indices and each reference's arguments are built
-    when it is written.
+    The ``(index,)`` arguments are built once, because the pickler memo
+    keeps every argument tuple it writes alive until the dump ends.
     """
-    refs = dict(zip(map(id, objects), range(len(objects))))
+    refs = {id(obj): (index,) for index, obj in enumerate(objects)}
 
     def reduce(obj: object) -> object:
-        index = refs.get(id(obj))
-        if index is None:
+        args = refs.get(id(obj))
+        if args is None:
             return obj.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
-        return _pool_ref, (index,)
+        return _pool_ref, args
 
     return {**copyreg.dispatch_table, **dict.fromkeys(map(type, objects), reduce)}
 

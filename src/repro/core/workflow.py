@@ -26,7 +26,7 @@ from typing import Iterable, Mapping
 from repro.core.transaction import Transaction, TransactionState
 from repro.errors import InvalidWorkflowError
 
-__all__ = ["Workflow", "RepresentativeView"]
+__all__ = ["AGGREGATE_SLOTS", "Workflow", "RepresentativeView"]
 
 # Hoisted state constants: enum attribute lookups are measurable in
 # _refresh, which runs at every invalidation of every touched workflow.
@@ -38,6 +38,18 @@ _WAITING = TransactionState.WAITING
 _READY = TransactionState.READY
 _RUNNING = TransactionState.RUNNING
 _INF = float("inf")
+
+#: The workflow slots a run changes: the cached aggregates a refresh
+#: rewrites.  Membership and order are fixed by the constructor.
+AGGREGATE_SLOTS = (
+    "_dirty",
+    "_rep",
+    "has_pending",
+    "rep_deadline",
+    "rep_scheduling_remaining",
+    "rep_weight",
+    "head_txn",
+)
 
 
 class RepresentativeView:

@@ -30,13 +30,13 @@ coincide decision for decision:
 
 from __future__ import annotations
 
+import weakref
 from operator import attrgetter
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.core.transaction import Transaction, TransactionState
-from repro.core.workflow import Workflow
+from repro.core.workflow import AGGREGATE_SLOTS, Workflow
 from repro.core.workflow_set import WorkflowSet
-from repro.errors import SchedulingError
 from repro.policies.asets_star import ASETSStar
 
 __all__ = ["ASETS"]
@@ -46,32 +46,10 @@ _RUNNING = TransactionState.RUNNING
 _WAITING = TransactionState.WAITING
 _INF = float("inf")
 
-#: The singleton slots a run changes; a snapshot carries them as columns.
-_SINGLETON_SLOTS = (
-    "_dirty",
-    "_rep",
-    "has_pending",
-    "head_txn",
-    "rep_deadline",
-    "rep_scheduling_remaining",
-)
-_SINGLETON_GETTERS = tuple(map(attrgetter, _SINGLETON_SLOTS))
-
-#: Keys of an :meth:`ASETS.snapshot`.
-_SNAPSHOT_FIELDS = frozenset(
-    {
-        "weighted",
-        "txns",
-        "singletons",
-        "serial",
-        "side",
-        "edf",
-        "hdf",
-        "alarm",
-        "dirty",
-        "dirty_weak",
-    }
-)
+#: The aggregates a run changes on a singleton: all but the weight,
+#: which is fixed at construction.
+_CHANGING_SLOTS = tuple(slot for slot in AGGREGATE_SLOTS if slot != "rep_weight")
+_CHANGING_GETTERS = tuple(map(attrgetter, _CHANGING_SLOTS))
 
 
 class _Singleton(Workflow):
@@ -82,11 +60,22 @@ class _Singleton(Workflow):
     weight is fixed at construction (unit for unweighted ASETS).  A
     singleton starts dirty, so its aggregate slots are first read after
     the refresh that every reader runs before looking at them.
+
+    It pickles as a reference into its view, which pickles the state of
+    every singleton; the view is held by weak reference, so a view and
+    its singletons form no reference cycle.
     """
 
-    __slots__ = ()
+    __slots__ = ("_view",)
 
-    def __init__(self, wf_id: int, txn: Transaction, weight: float) -> None:
+    def __init__(
+        self,
+        view: weakref.ref[_SingletonSet],
+        wf_id: int,
+        txn: Transaction,
+        weight: float,
+    ) -> None:
+        self._view = view
         self.wf_id = wf_id
         self.root_id = txn.txn_id
         self._members = {txn.txn_id: txn}
@@ -111,18 +100,51 @@ class _Singleton(Workflow):
         self.rep_deadline = txn.deadline
         self.rep_scheduling_remaining = txn.scheduling_remaining
 
+    def __reduce__(self) -> tuple:
+        return _singleton_at, (self._view(), self.wf_id)
+
 
 class _SingletonSet(WorkflowSet):
     """Every transaction its own workflow, numbered in ``(arrival, txn_id)`` order."""
 
     def __init__(self, transactions: Sequence[Transaction], weighted: bool) -> None:
         pool = sorted(transactions, key=lambda txn: (txn.arrival, txn.txn_id))
+        ref = weakref.ref(self)
+        self._weighted = weighted
         self._txns = {txn.txn_id: txn for txn in pool}
         self._workflows = [
-            _Singleton(wf_id, txn, txn.weight if weighted else 1.0)
+            _Singleton(ref, wf_id, txn, txn.weight if weighted else 1.0)
             for wf_id, txn in enumerate(pool)
         ]
         self._by_member = {wf.root_id: [wf] for wf in self._workflows}
+
+    def __reduce__(self) -> tuple:
+        # Columns: the transactions in view order (pool references in a
+        # checkpoint) and the aggregates the run changed.  Pickled one
+        # by one, each singleton would carry its own opcodes, weight and
+        # member containers.
+        workflows = self._workflows
+        return _singleton_set, (
+            self._weighted,
+            list(self._txns.values()),
+            *(list(map(get, workflows)) for get in _CHANGING_GETTERS),
+        )
+
+
+def _singleton_set(
+    weighted: bool, txns: list[Transaction], *columns: list[object]
+) -> _SingletonSet:
+    """The view :meth:`_SingletonSet.__reduce__` pickled."""
+    view = _SingletonSet(txns, weighted)
+    for slot, column in zip(_CHANGING_SLOTS, columns, strict=True):
+        for wf, value in zip(view._workflows, column, strict=True):
+            setattr(wf, slot, value)
+    return view
+
+
+def _singleton_at(view: _SingletonSet, wf_id: int) -> Workflow:
+    """The singleton :meth:`_Singleton.__reduce__` pickled."""
+    return view._workflows[wf_id]
 
 
 class ASETS(ASETSStar):
@@ -144,68 +166,14 @@ class ASETS(ASETSStar):
     def __init__(self, weighted: bool = False) -> None:
         super().__init__()
         self.weighted = weighted
-        self._singleton_of: dict[int, Workflow] = {}
 
     def bind(self, transactions, workflow_set) -> None:  # type: ignore[no-untyped-def]
-        view = _SingletonSet(transactions, self.weighted)
-        self._singleton_of = {wf.root_id: wf for wf in view}
-        super().bind(transactions, view)
+        super().bind(transactions, _SingletonSet(transactions, self.weighted))
 
     def on_arrival(self, txn: Transaction, now: float) -> None:
         """Nothing to do: a singleton is runnable only from its ``on_ready``."""
 
-    def snapshot(self) -> dict:
-        """Reduced checkpoint state: the singleton view is rebuilt on load.
-
-        The view's transactions ride as pool references, in view order;
-        the singletons' changing slots as columns; heap entries and
-        dirty marks by ``wf_id``.  Pickling the view itself would write
-        every singleton by value, since none of them is a pool object.
-        """
-        view = self._workflow_set
-        if not isinstance(view, _SingletonSet):
-            raise SchedulingError(f"{type(self).__name__} is not bound to a run")
-        singletons = view._workflows
-        return {
-            "weighted": self.weighted,
-            "txns": tuple(wf._member_seq[0] for wf in singletons),
-            "singletons": [list(map(get, singletons)) for get in _SINGLETON_GETTERS],
-            "serial": self._serial,
-            "side": self._side,
-            "edf": [entry[:3] for entry in self._edf],
-            "hdf": [entry[:3] for entry in self._hdf],
-            "alarm": [entry[:3] for entry in self._alarm],
-            "dirty": list(self._dirty),
-            "dirty_weak": list(self._dirty_weak),
-        }
-
-    @classmethod
-    def restore(cls, state: object) -> "ASETS":
-        """Inverse of :meth:`snapshot`: bind to the snapshot's transactions,
-        then put back every slot, heap entry and mark the run changed."""
-        if not isinstance(state, Mapping) or set(state) != _SNAPSHOT_FIELDS:
-            raise SchedulingError(
-                f"{cls.__name__}.restore() expected a {cls.__name__} snapshot"
-            )
-        policy = cls(weighted=state["weighted"])
-        policy.bind(state["txns"], None)
-        singletons = policy._workflow_set._workflows  # type: ignore[union-attr]
-        for slot, column in zip(_SINGLETON_SLOTS, state["singletons"], strict=True):
-            for wf, value in zip(singletons, column, strict=True):
-                setattr(wf, slot, value)
-        policy._serial = list(state["serial"])
-        policy._side = list(state["side"])
-        policy._edf, policy._hdf, policy._alarm = (
-            [(key, wf_id, serial, singletons[wf_id]) for key, wf_id, serial in heap]
-            for heap in (state["edf"], state["hdf"], state["alarm"])
-        )
-        policy._dirty, policy._dirty_weak = (
-            {wf_id: singletons[wf_id] for wf_id in marks}
-            for marks in (state["dirty"], state["dirty_weak"])
-        )
-        return policy
-
     def _touch(self, txn: Transaction, dirty: dict[int, Workflow]) -> None:
-        wf = self._singleton_of[txn.txn_id]
+        (wf,) = self._workflow_set._by_member[txn.txn_id]  # type: ignore[union-attr]
         wf._dirty = True
         dirty[wf.wf_id] = wf

@@ -18,9 +18,9 @@ from repro.ckpt import (
     restore_writer,
 )
 from repro.core.transaction import Transaction
-from repro.core.workflow import Workflow
+from repro.core.workflow import AGGREGATE_SLOTS, Workflow
 from repro.core.workflow_set import WorkflowSet
-from repro.errors import CheckpointError, SchedulingError
+from repro.errors import CheckpointError
 from repro.experiments.config import PolicySpec
 from repro.experiments.runner import generate_workloads, run_policy_on
 from repro.obs import NullInstrument, Recorder, RunTelemetry, StreamingRecorder
@@ -278,8 +278,8 @@ class TestValidation:
         end = data.index(b"\n", len(CKPT_MAGIC))
         header = json.loads(data[len(CKPT_MAGIC) : end])
         blob = _blob(path)
-        policy = blob["policy_state"] = ASETS()
-        for name in ("_serial", "_side", "_hdf", "_alarm", "_singleton_of"):
+        policy = blob["policy_state"]
+        for name in ("_serial", "_side", "_hdf", "_alarm"):
             delattr(policy, name)
         policy._edf, policy._migrate, policy._srpt = [], [], []
         header["version"] = 4
@@ -443,16 +443,19 @@ class TestVersion8Layout:
             load_checkpoint(checkpoint_path)
 
     def test_v8_asets_checkpoint_rejected_at_load(self, checkpoint_path):
-        # Format 8 pickled ASETS whole, its singleton view by value; today
-        # ASETS restores from a reduced snapshot and would reject the
-        # whole object only once the run resumes.  The header version
-        # must stop it at load instead.
+        # Format 8 pickled every policy with a copy of the pool, and ASETS
+        # with a txn-id index and its singleton view by value: singletons
+        # with no reference to their view, which today's singletons need
+        # to pickle.  The header version must stop it at load instead.
         assert CKPT_VERSION > 8
 
-        def whole_policy(state):
-            state["policy_state"] = ASETS.restore(state["policy_state"])
+        def v8_policy(state):
+            policy = state["policy_state"]
+            view = policy.workflow_set
+            policy._transactions = dict(view.transactions)
+            policy._singleton_of = {wf.root_id: wf for wf in view}
 
-        _rewrite_state(checkpoint_path, whole_policy)
+        _rewrite_state(checkpoint_path, v8_policy)
         data = checkpoint_path.read_bytes()
         end = data.index(b"\n", len(CKPT_MAGIC))
         header = json.loads(data[len(CKPT_MAGIC) : end])
@@ -661,12 +664,20 @@ class TestVersion8Layout:
 
 
 class TestSingletonSnapshot:
-    """``ASETS``/``Ready`` checkpoint a reduced state, not their view."""
+    """``ASETS``/``Ready`` pickle their singleton view as columns."""
 
-    @pytest.mark.parametrize("name", ["asets", "ready"])
-    def test_state_section_of_a_late_save_stays_small(self, name, tmp_path):
-        # 7,500 weighted workflow transactions: pickled whole, the
-        # singleton view made the state section 1.94 MB, against
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            PolicySpec.of("asets"),
+            PolicySpec.of("ready"),
+            PolicySpec.of("non-preemptive", inner="asets"),
+        ],
+        ids=["asets", "ready", "non-preemptive-asets"],
+    )
+    def test_state_section_of_a_late_save_stays_small(self, spec, tmp_path):
+        # 7,500 weighted workflow transactions: with every singleton
+        # pickled by value the state section was 1.94 MB, against
         # 0.71-0.78 MB under the policies whose workflows are pool
         # objects.
         workload = generate_workloads(
@@ -681,12 +692,9 @@ class TestSingletonSnapshot:
         path = tmp_path / "late.ckpt"
         checkpointer = Checkpointer(path)
         run_policy_on(
-            workload,
-            PolicySpec.of(name),
-            checkpoint_every=5000,
-            checkpointer=checkpointer,
+            workload, spec, checkpoint_every=5000, checkpointer=checkpointer
         )
-        assert checkpointer.saves >= 3
+        assert checkpointer.saves >= 2
         data = path.read_bytes()
         _, _, state_at = _sections(data)
         assert b"_Singleton" not in data[state_at:]
@@ -698,16 +706,47 @@ class TestSingletonSnapshot:
         pool = checkpoint.core["_txns"]
         view = policy.workflow_set
         assert len(view) == len(pool)
-        for wf in view:
+        assert list(view.transactions) == [
+            txn.txn_id
+            for txn in sorted(pool.values(), key=lambda t: (t.arrival, t.txn_id))
+        ]
+        for wf_id, wf in enumerate(view):
             (txn,) = wf._member_seq
-            assert txn is pool[txn.txn_id]
-            assert policy._singleton_of[txn.txn_id] is wf
+            assert wf.wf_id == wf_id
+            assert txn is pool[txn.txn_id] is view.transactions[txn.txn_id]
+            assert view.member_workflows(txn.txn_id) == [wf]
+            assert wf._view() is view
         for heap in (policy._edf, policy._hdf, policy._alarm):
             assert all(entry[3] is view._workflows[entry[1]] for entry in heap)
+        for marks in (policy._dirty, policy._dirty_weak):
+            assert all(wf is view._workflows[wf_id] for wf_id, wf in marks.items())
 
-    def test_restore_rejects_a_whole_policy(self):
-        with pytest.raises(SchedulingError, match="expected a ASETS snapshot"):
-            ASETS.restore(ASETS())
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_pickle_round_trip_keeps_the_view(self, weighted):
+        pool = [
+            Transaction(i, arrival=i % 3, length=2 + i, deadline=9 + i, weight=1 + i)
+            for i in range(6)
+        ]
+        policy = ASETS(weighted=weighted)
+        policy.bind(pool, None)
+        view = policy.workflow_set
+        view._workflows[2]._refresh()
+        policy.on_ready(pool[4], 0.0)
+
+        def aggregates(wf):
+            values = [getattr(wf, slot) for slot in AGGREGATE_SLOTS]
+            values[AGGREGATE_SLOTS.index("head_txn")] = getattr(
+                wf.head_txn, "txn_id", None
+            )
+            return wf.wf_id, wf.root_id, values
+
+        copy = pickle.loads(pickle.dumps(policy))
+        assert list(map(aggregates, copy.workflow_set)) == list(
+            map(aggregates, view)
+        )
+        assert list(copy.workflow_set.transactions) == list(view.transactions)
+        ((wf_id, wf),) = copy._dirty.items()
+        assert wf.root_id == 4 and wf is copy.workflow_set._workflows[wf_id]
 
 
 class TestCheckpointer:
