@@ -554,23 +554,22 @@ class EventSampler:
     run's export.  Both write the same log.
     """
 
-    #: Knuth's multiplicative-hash constant (2^32 / φ).
-    _HASH = 2654435761
-    _MOD = 2**32
-
     def __init__(self, rate: float) -> None:
         if not 0.0 < rate <= 1.0:
             raise ObservabilityError(
                 f"sample rate must be in (0, 1], got {rate}"
             )
         self.rate = rate
-        self._threshold = int(rate * self._MOD)
+        self._threshold = int(rate * 2**32)
         self._sched_stride = max(1, round(1.0 / rate))
         self._sched_seen = 0
 
     def keeps_txn(self, txn_id: int) -> bool:
         """Whether ``txn_id`` is in the sampled subset."""
-        return (txn_id * self._HASH) % self._MOD < self._threshold
+        # Knuth's multiplicative-hash constant (2^32 / φ) and 2^32 are
+        # literals, so a call reads no attribute but the threshold: a
+        # sampled stream asks this for every transaction record.
+        return (txn_id * 2654435761) % 2**32 < self._threshold
 
     @staticmethod
     def keeps_unsampled(kind: str, tardiness: float) -> bool:

@@ -42,7 +42,14 @@ from repro.errors import SchedulingError, SimulationError
 from repro.policies.base import Scheduler
 from repro.sim.event_queue import EventQueue
 from repro.sim.events import Event, EventKind
-from repro.sim.results import SimulationResult, StreamSummary, TransactionRecord
+# The result build is the only user of these names; ``TransactionRecord``
+# stays bound here beside the other two so that callers rebinding the
+# engine's result builders (perfbench's ledger) find all three.
+from repro.sim.results import (  # noqa: F401
+    SimulationResult,
+    StreamSummary,
+    TransactionRecord,
+)
 from repro.sim.soa import TxnTable
 from repro.sim.trace import Trace
 
@@ -201,13 +208,14 @@ class Simulator:
     retain_records:
         Every result answers its aggregates from a constant-size
         :class:`~repro.sim.results.StreamSummary`.  When True (default)
-        it also carries one
-        :class:`~repro.sim.results.TransactionRecord` per transaction
-        (an immutable tuple, built positionally at run end), indexed by
-        id on the first lookup.  ``False`` is streaming mode: no
-        records, so per-transaction queries raise.  Pair with
-        a :class:`~repro.obs.streaming.StreamingRecorder` instrument for
-        quantiles and windowed time-series at bounded memory.
+        it also carries the per-transaction outcomes, read from the pool
+        into typed columns at run end
+        (:class:`~repro.sim.results.RecordColumns`, a sequence of
+        :class:`~repro.sim.results.TransactionRecord`).  ``False`` is
+        streaming mode: no records, so per-transaction queries raise.
+        Pair with a :class:`~repro.obs.streaming.StreamingRecorder`
+        instrument for quantiles and windowed time-series at bounded
+        memory.
     checkpoint_every:
         Event-count interval between run checkpoints; requires
         ``checkpointer`` (and vice versa).  After every batch of
@@ -420,17 +428,12 @@ class Simulator:
         )
         if self._instrument is not None:
             self._instrument.on_run_end(now, summary)
-        records = (
-            [TransactionRecord.from_transaction(txn) for txn in ordered]
-            if self._retain_records
-            else ()
-        )
         return SimulationResult(
             self._policy.name,
-            records,
-            self._trace,
+            trace=self._trace,
             scheduling_points=self.scheduling_points,
             stream_summary=summary,
+            transactions=ordered if self._retain_records else (),
         )
 
     def _reset(self) -> None:

@@ -3,19 +3,22 @@
 :class:`SimulationResult` answers the aggregate metrics of Definitions
 3–5 (tardiness, average tardiness, average weighted tardiness) and the
 worst-case metric of Section IV-F (maximum weighted tardiness) from one
-:class:`StreamSummary`, which the engine builds in every run.  One
-immutable :class:`TransactionRecord` tuple per transaction rides along
-as an optional attachment: present by default, absent under
+:class:`StreamSummary`, which the engine builds in every run.  The
+per-transaction outcomes ride along as an optional attachment: one
+typed ``array`` column per :class:`TransactionRecord` field (a
+:class:`RecordColumns`), read as a sequence of records built on the
+fly.  They are present by default, empty under
 ``retain_records=False``, and needed only by the per-transaction
 queries.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass, fields
-from functools import cached_property
 from operator import attrgetter
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence, overload
 
 from repro.core.transaction import Transaction, TransactionState
 from repro.errors import SimulationError
@@ -25,6 +28,7 @@ __all__ = [
     "OUTCOMES",
     "tardiness",
     "TransactionRecord",
+    "RecordColumns",
     "StreamSummary",
     "SimulationResult",
 ]
@@ -71,10 +75,11 @@ class TransactionRecord(NamedTuple):
     abort/shed time otherwise.  ``first_start`` is ``None`` only for
     transactions shed before ever running.
 
-    A plain tuple, like :class:`~repro.sim.events.Event`: a run builds
-    one per transaction, and a tuple is several times cheaper to build
-    than a frozen dataclass.  Being a tuple, a record also compares
-    equal to (and sorts like) the plain tuple of its fields.
+    A plain tuple, like :class:`~repro.sim.events.Event`: a result's
+    :class:`RecordColumns` builds one each time a record is read, and a
+    tuple is several times cheaper to build than a frozen dataclass.
+    Being a tuple, a record also compares equal to (and sorts like) the
+    plain tuple of its fields.
     """
 
     txn_id: int
@@ -138,6 +143,142 @@ class TransactionRecord(NamedTuple):
             outcome,
             txn.retries,
         )
+
+
+#: Array typecodes of the :class:`RecordColumns` columns, in
+#: :class:`TransactionRecord` field order: ``first_start`` holds NaN for
+#: ``None``, ``outcome`` the index into :data:`OUTCOMES`.
+_TYPECODES = "qddddddiBi"
+
+#: The :class:`~repro.core.transaction.Transaction` attribute behind
+#: each :class:`TransactionRecord` field, in field order.
+_TXN_ATTRS = (
+    "txn_id", "arrival", "length", "deadline", "weight", "finish_time",
+    "first_start_time", "preemptions", "state", "retries",
+)
+
+
+class RecordColumns(Sequence[TransactionRecord]):
+    """A run's per-transaction outcomes, one typed ``array`` per
+    :class:`TransactionRecord` field.
+
+    About 65 bytes a transaction, where a list of record tuples and
+    their boxed floats takes about 170.  Read-only: indexing and
+    iteration build each record on the fly and keep none, a slice is
+    another view, and the view equals any sequence of equal records.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns: tuple[array, ...]) -> None:
+        self._columns = columns
+
+    @classmethod
+    def from_transactions(cls, txns: Sequence[Transaction]) -> "RecordColumns":
+        """The columns of a finished pool, in its order.
+
+        Each column is one C-level attribute read over the pool.  A pool
+        holding a transaction without an outcome or a start time takes
+        the per-record path instead: :meth:`TransactionRecord.from_transaction`
+        raises for an unfinished transaction or a completed one that
+        never started, and a shed one keeps NaN as its start.
+        """
+        columns: list[Any] = [list(map(attrgetter(a), txns)) for a in _TXN_ATTRS]
+        try:
+            columns[8] = array("B", map(_TXN_OUTCOMES.index, columns[8]))
+            columns[6] = array("d", columns[6])
+        except (ValueError, TypeError):
+            return cls.from_records(map(TransactionRecord.from_transaction, txns))
+        return cls(tuple(array(t, c) for t, c in zip(_TYPECODES, columns)))
+
+    @classmethod
+    def from_records(cls, records: Iterable[TransactionRecord]) -> "RecordColumns":
+        """The columns of built records, in their order."""
+        columns: list[Any] = list(zip(*records)) or [()] * 10
+        columns[6] = [math.nan if s is None else s for s in columns[6]]
+        try:
+            columns[8] = [OUTCOMES.index(o) for o in columns[8]]
+        except ValueError:
+            raise SimulationError(
+                f"a record outcome is not one of {OUTCOMES}"
+            ) from None
+        return cls(tuple(array(t, c) for t, c in zip(_TYPECODES, columns)))
+
+    @staticmethod
+    def _record(*row: Any) -> TransactionRecord:
+        """The record of one row of column values."""
+        start = row[6]
+        return TransactionRecord(
+            *row[:6],
+            None if math.isnan(start) else start,
+            row[7],
+            OUTCOMES[row[8]],
+            row[9],
+        )
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    @overload
+    def __getitem__(self, index: int) -> TransactionRecord: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> "RecordColumns": ...
+
+    def __getitem__(
+        self, index: int | slice
+    ) -> "TransactionRecord | RecordColumns":
+        if isinstance(index, slice):
+            return RecordColumns(tuple(c[index] for c in self._columns))
+        return self._record(*[c[index] for c in self._columns])
+
+    def __iter__(self) -> Iterator[TransactionRecord]:
+        return map(self._record, *self._columns)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other)
+        )
+
+    def record_of(self, txn_id: int) -> TransactionRecord:
+        """The record of ``txn_id``: a bisection of the id column, which
+        a run keeps in id order; a linear scan if the bisection misses
+        (hand-built records may come in any order)."""
+        from bisect import bisect_left
+
+        ids = self._columns[0]
+        i = bisect_left(ids, txn_id)
+        if i == len(ids) or ids[i] != txn_id:
+            try:
+                i = ids.index(txn_id)
+            except ValueError:
+                raise KeyError(f"no record for transaction {txn_id}") from None
+        return self[i]
+
+    def finish_order(self) -> list[int]:
+        """Transaction ids by finish time (stable)."""
+        ids, _, _, _, _, finish, _, _, _, _ = self._columns
+        return [ids[i] for i in sorted(range(len(ids)), key=finish.__getitem__)]
+
+    def tardy_records(self) -> list[TransactionRecord]:
+        """Records of completed transactions that missed their deadline."""
+        _, _, _, deadline, _, finish, _, _, outcome, _ = self._columns
+        # Outcome 0 is ``completed`` (:data:`OUTCOMES`).
+        return [
+            self[i]
+            for i in range(len(outcome))
+            if outcome[i] == 0 and finish[i] > deadline[i]
+        ]
+
+    def tardiness_by_id(self) -> dict[int, float]:
+        """Each transaction's tardiness (0 unless completed), by id."""
+        ids, _, _, deadline, _, finish, _, _, outcome, _ = self._columns
+        return {
+            txn_id: tardiness(f, d) if o == 0 else 0.0
+            for txn_id, f, d, o in zip(ids, finish, deadline, outcome)
+        }
 
 
 @dataclass(frozen=True, slots=True)
@@ -276,7 +417,8 @@ class SimulationResult:
     records:
         One :class:`TransactionRecord` per transaction, or empty when
         the run kept none (``retain_records=False``); then
-        ``stream_summary`` is required.
+        ``stream_summary`` is required.  Stored as a
+        :class:`RecordColumns`, which :attr:`records` reads back.
     trace:
         Optional execution trace (``None`` unless tracing was enabled).
     scheduling_points:
@@ -294,18 +436,28 @@ class SimulationResult:
         :meth:`tardy_records`, :meth:`tardiness_by_id`) raise
         :class:`~repro.errors.SimulationError` since the data was never
         kept.
+    transactions:
+        The engine's form of ``records``: the finished pool in
+        ``txn_id`` order, read into the same columns
+        (:meth:`RecordColumns.from_transactions`).
     """
 
     def __init__(
         self,
         policy_name: str,
-        records: Sequence[TransactionRecord] = (),
+        records: Iterable[TransactionRecord] = (),
         trace: Trace | None = None,
         scheduling_points: int | None = None,
         preemptions: int | None = None,
         stream_summary: StreamSummary | None = None,
+        *,
+        transactions: Sequence[Transaction] = (),
     ) -> None:
-        self.records = tuple(records)
+        self.records = (
+            RecordColumns.from_transactions(transactions)
+            if transactions
+            else RecordColumns.from_records(records)
+        )
         if stream_summary is None:
             if not self.records:
                 raise SimulationError("a simulation result needs >= 1 record")
@@ -317,12 +469,6 @@ class SimulationResult:
         self.total_preemptions = (
             stream_summary.preemptions if preemptions is None else preemptions
         )
-
-    @cached_property
-    def _by_id(self) -> dict[int, TransactionRecord]:
-        """The records by transaction id, built on the first lookup:
-        most results are only asked for aggregates."""
-        return {r.txn_id: r for r in self.records}
 
     def _need_records(self, what: str) -> None:
         if not self.records:
@@ -422,24 +568,17 @@ class SimulationResult:
 
     def record_of(self, txn_id: int) -> TransactionRecord:
         self._need_records("record_of()")
-        try:
-            return self._by_id[txn_id]
-        except KeyError:
-            raise KeyError(f"no record for transaction {txn_id}") from None
+        return self.records.record_of(txn_id)
 
     def finish_order(self) -> list[int]:
         """Transaction ids sorted by completion time."""
         self._need_records("finish_order()")
-        return [r.txn_id for r in sorted(self.records, key=lambda r: r.finish)]
+        return self.records.finish_order()
 
     def tardy_records(self) -> list[TransactionRecord]:
         """Records of completed transactions that missed their deadline."""
         self._need_records("tardy_records()")
-        return [
-            r
-            for r in self.records
-            if r.outcome == "completed" and not r.met_deadline
-        ]
+        return self.records.tardy_records()
 
     def tardiness_by_id(self) -> dict[int, float]:
         """Measured per-transaction tardiness, keyed by transaction id.
@@ -449,7 +588,7 @@ class SimulationResult:
         tardy transaction sum to exactly these values.
         """
         self._need_records("tardiness_by_id()")
-        return {r.txn_id: r.tardiness for r in self.records}
+        return self.records.tardiness_by_id()
 
     def summary(self) -> dict[str, float]:
         """A plain-dict summary, convenient for tabulation and JSON."""

@@ -67,11 +67,9 @@ def load_workload(path: str | pathlib.Path) -> Workload:
         payload = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise WorkloadError(f"cannot read workload file {path}: {exc}") from exc
-    if payload.get("format") != _FORMAT:
-        raise WorkloadError(
-            f"{path} is not a {_FORMAT} file "
-            f"(format={payload.get('format')!r})"
-        )
+    fmt = payload.get("format") if isinstance(payload, dict) else None
+    if fmt != _FORMAT:
+        raise WorkloadError(f"{path} is not a {_FORMAT} file (format={fmt!r})")
     for key in ("spec", "seed", "transactions"):
         if key not in payload:
             raise WorkloadError(f"workload file {path} missing key {key!r}")
@@ -79,18 +77,26 @@ def load_workload(path: str | pathlib.Path) -> Workload:
         spec = WorkloadSpec(**payload["spec"])
     except TypeError as exc:
         raise WorkloadError(f"workload file {path} has a bad spec: {exc}") from exc
-    transactions = [
-        Transaction(
-            txn_id=record["id"],
-            arrival=record["arrival"],
-            length=record["length"],
-            deadline=record["deadline"],
-            weight=record.get("weight", 1.0),
-            depends_on=record.get("depends_on", ()),
-            length_estimate=record.get("length_estimate"),
-        )
-        for record in payload["transactions"]
-    ]
+    try:
+        transactions = [
+            Transaction(
+                txn_id=record["id"],
+                arrival=record["arrival"],
+                length=record["length"],
+                deadline=record["deadline"],
+                weight=record.get("weight", 1.0),
+                depends_on=record.get("depends_on", ()),
+                length_estimate=record.get("length_estimate"),
+            )
+            for record in payload["transactions"]
+        ]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # A missing field, a record that is not an object, a
+        # "transactions" that is not a list, or a non-numeric field.
+        raise WorkloadError(
+            f"workload file {path} has a bad transaction record: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
     has_deps = any(t.depends_on for t in transactions)
     workflow_set = (
         WorkflowSet(transactions) if (spec.with_workflows or has_deps) else None

@@ -35,6 +35,21 @@ class TestEventSampler:
         # Roughly rate-proportional coverage, exactly reproducible.
         assert 150 < len(kept) < 350
 
+    def test_txn_selection_is_the_pinned_fibonacci_hash(self):
+        # The kept ids (negative ids too) are the documented rule's:
+        # (id * 2654435761) mod 2^32 below rate * 2^32, written here
+        # with a mask instead of a modulo.
+        for rate in (0.1, 0.25, 0.5, 0.9):
+            s = EventSampler(rate)
+            threshold = int(rate * 2**32)
+            for i in range(-3000, 3000):
+                expected = (i * 2654435761) & 0xFFFFFFFF < threshold
+                assert s.keeps_txn(i) is expected, (rate, i)
+        s = EventSampler(0.25)
+        assert [i for i in range(-20, 21) if s.keeps_txn(i)] == [
+            -16, -11, -8, -3, 0, 2, 5, 10, 13, 18,
+        ]
+
     def test_keep_always_kinds_survive(self):
         s = EventSampler(0.01)
         for kind in sorted(KEEP_ALWAYS_KINDS):

@@ -1,6 +1,10 @@
 """Tests for workload persistence."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +14,8 @@ from repro.sim.engine import Simulator
 from repro.workload.generator import generate
 from repro.workload.io import load_workload, save_workload, workload_to_dict
 from repro.workload.spec import WorkloadSpec
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture
@@ -100,3 +106,55 @@ class TestErrors:
         path.write_text(json.dumps(payload))
         with pytest.raises(WorkloadError, match="bad spec"):
             load_workload(path)
+
+
+def _corrupt(payload, how):
+    """``payload`` broken one way: each used to escape ``load_workload``
+    as a bare KeyError, TypeError or AttributeError."""
+    records = payload["transactions"]
+    if how == "record-missing-arrival":
+        del records[0]["arrival"]
+    elif how == "record-is-a-list":
+        records[0] = list(records[0].values())
+    elif how == "transactions-null":
+        payload["transactions"] = None
+    elif how == "string-length":
+        records[0]["length"] = "3.5"
+    elif how == "top-level-list":
+        return [payload]
+    return payload
+
+
+@pytest.fixture(
+    params=(
+        "record-missing-arrival",
+        "record-is-a-list",
+        "transactions-null",
+        "string-length",
+        "top-level-list",
+    )
+)
+def corrupt_file(request, tmp_path):
+    w = generate(WorkloadSpec(n_transactions=20), seed=3)
+    path = tmp_path / f"{request.param}.json"
+    path.write_text(json.dumps(_corrupt(workload_to_dict(w), request.param)))
+    return path
+
+
+class TestCorruptRecords:
+    def test_raises_workload_error(self, corrupt_file):
+        with pytest.raises(WorkloadError):
+            load_workload(corrupt_file)
+
+    def test_stats_cli_exits_nonzero_without_traceback(self, corrupt_file):
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.workload", "stats", str(corrupt_file)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            check=False,
+            timeout=60,
+        )
+        assert completed.returncode != 0
+        assert "Traceback" not in completed.stderr
+        assert "error:" in completed.stderr
