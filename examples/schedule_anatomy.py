@@ -15,7 +15,8 @@ Run with::
     python examples/schedule_anatomy.py
 """
 
-from repro import Simulator, Transaction, make_policy
+from repro import Recorder, Simulator, Transaction, make_policy
+from repro.obs.analyze.lifecycle import reconstruct
 from repro.sim.gantt import render_gantt
 
 
@@ -40,10 +41,12 @@ def burst() -> list[Transaction]:
 
 def show(policy_name: str) -> None:
     txns = burst()
-    result = Simulator(txns, make_policy(policy_name), record_trace=True).run()
+    recorder = Recorder()
+    result = Simulator(txns, make_policy(policy_name), instrument=recorder).run()
     print(f"--- {policy_name.upper()}  (avg tardiness "
           f"{result.average_tardiness:.2f}, max {result.max_tardiness:.2f})")
-    print(render_gantt(result.trace, width=56))
+    # Who ran when, folded from the run's event log.
+    print(render_gantt(reconstruct(recorder.events).segments, width=56))
     print()
 
 

@@ -47,7 +47,7 @@ from repro.policies import (
     make_policy,
 )
 from repro.obs import Instrument, MultiInstrument, NullInstrument, Recorder, RunReport
-from repro.sim import SimulationResult, Simulator, Trace, TransactionRecord
+from repro.sim import SimulationResult, Simulator, TransactionRecord
 from repro.workload import Workload, WorkloadSpec, generate
 
 __all__ = [
@@ -74,7 +74,6 @@ __all__ = [
     "Simulator",
     "SimulationResult",
     "TransactionRecord",
-    "Trace",
     "Instrument",
     "NullInstrument",
     "MultiInstrument",

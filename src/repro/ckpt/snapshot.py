@@ -5,7 +5,7 @@ File layout
 A checkpoint is one binary file::
 
     b"REPROCKPT\\n"            -- magic, rejects alien files cheaply
-    {"version": 9, ...}\\n      -- JSON header line (UTF-8)
+    {"version": 10, ...}\\n      -- JSON header line (UTF-8)
     <8-byte length>            -- little-endian size of the pool section
     <pool section>             -- the workload-static transaction pool
     <state section>            -- one pickle of what the run changed
@@ -113,7 +113,9 @@ CKPT_MAGIC = b"REPROCKPT\n"
 #: Version 9: the ``ASETS``/``Ready`` singleton view pickles as columns
 #: and no policy keeps a copy of the pool; a version-8 state pickles
 #: every singleton by value and every policy's id-to-transaction map.
-CKPT_VERSION = 9
+#: Version 10: the engine core has no ``_trace`` field (who ran when is
+#: read from the event log); a version-9 core carries it.
+CKPT_VERSION = 10
 
 #: Keys every checkpoint header must carry.
 _HEADER_FIELDS = frozenset(

@@ -19,7 +19,6 @@ from repro.sim.engine import Simulator
 from repro.sim.gantt import render_gantt
 from repro.sim.profiler import LengthProfiler
 from repro.sim.results import SimulationResult, TransactionRecord
-from repro.sim.trace import ExecutionSlice, Trace
 from repro.sim.validation import validate_schedule
 
 __all__ = [
@@ -29,8 +28,6 @@ __all__ = [
     "Simulator",
     "SimulationResult",
     "TransactionRecord",
-    "ExecutionSlice",
-    "Trace",
     "LengthProfiler",
     "render_gantt",
     "validate_schedule",

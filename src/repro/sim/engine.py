@@ -51,7 +51,6 @@ from repro.sim.results import (  # noqa: F401
     TransactionRecord,
 )
 from repro.sim.soa import TxnTable
-from repro.sim.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ckpt.snapshot import Checkpoint, Checkpointer
@@ -69,7 +68,6 @@ _CKPT_CORE_FIELDS = (
     "_txns",
     "_table",
     "_workflows",
-    "_trace",
     "_dependents",
     "_events",
     "_seq",
@@ -166,9 +164,6 @@ class Simulator:
         Optional pre-built workflow network over ``transactions``.  Built
         automatically when the policy requires workflows; always validated
         against the same transaction objects.
-    record_trace:
-        When True the result carries a :class:`~repro.sim.trace.Trace` of
-        execution slices.
     servers:
         Number of identical servers (default 1 = the paper's model).
     preemption_overhead:
@@ -250,7 +245,6 @@ class Simulator:
         transactions: Sequence[Transaction],
         policy: Scheduler,
         workflow_set: WorkflowSet | None = None,
-        record_trace: bool = False,
         servers: int = 1,
         preemption_overhead: float = 0.0,
         instrument: "Instrument | None" = None,
@@ -316,7 +310,6 @@ class Simulator:
                     "workflow_set was built over a different transaction pool"
                 )
         self._workflows = workflow_set
-        self._trace = Trace() if record_trace else None
         self._dependents = _dependents_of(self._txns)
         self._check_acyclic()
         # Run state (initialised in run()).
@@ -430,7 +423,6 @@ class Simulator:
             self._instrument.on_run_end(now, summary)
         return SimulationResult(
             self._policy.name,
-            trace=self._trace,
             scheduling_points=self.scheduling_points,
             stream_summary=summary,
             transactions=ordered if self._retain_records else (),
@@ -577,8 +569,6 @@ class Simulator:
                 txn.charge(min(elapsed - overhead, txn.remaining))
             else:
                 txn.charge(min(elapsed, txn.remaining))
-            if self._trace is not None:
-                self._trace.record(txn.txn_id, dispatch.since, now)
             dispatch.since = now
             if elapsed > 0 and self._workflows is not None:
                 # A charge only shrinks the believed remaining: the

@@ -22,7 +22,6 @@ from typing import Any, Iterable, Iterator, NamedTuple, Sequence, overload
 
 from repro.core.transaction import Transaction, TransactionState
 from repro.errors import SimulationError
-from repro.sim.trace import Trace
 
 __all__ = [
     "OUTCOMES",
@@ -419,8 +418,6 @@ class SimulationResult:
         the run kept none (``retain_records=False``); then
         ``stream_summary`` is required.  Stored as a
         :class:`RecordColumns`, which :attr:`records` reads back.
-    trace:
-        Optional execution trace (``None`` unless tracing was enabled).
     scheduling_points:
         How many scheduling points the engine executed (``None`` when the
         result was built outside the engine, e.g. in tests).
@@ -446,7 +443,6 @@ class SimulationResult:
         self,
         policy_name: str,
         records: Iterable[TransactionRecord] = (),
-        trace: Trace | None = None,
         scheduling_points: int | None = None,
         preemptions: int | None = None,
         stream_summary: StreamSummary | None = None,
@@ -464,7 +460,6 @@ class SimulationResult:
             stream_summary = StreamSummary.from_records(self.records)
         self.policy_name = policy_name
         self.stream_summary = stream_summary
-        self.trace = trace
         self.scheduling_points = scheduling_points
         self.total_preemptions = (
             stream_summary.preemptions if preemptions is None else preemptions

@@ -1,18 +1,20 @@
-"""Schedule validation: check that a trace is physically possible.
+"""Schedule validation: check that a schedule is physically possible.
 
 For downstream users writing their own policies, the engine's runtime
 guards catch contract violations as they happen; this module checks a
-*finished* schedule after the fact — useful when comparing against
-schedules produced elsewhere (another simulator, a solver, a hand-drawn
-Gantt) or when asserting invariants in tests:
+*finished* schedule after the fact — the
+:class:`~repro.obs.analyze.lifecycle.Segment` list a run's event log
+folds into (:attr:`~repro.obs.analyze.lifecycle.RunLifecycles.segments`),
+or a schedule produced elsewhere (another simulator, a solver, a
+hand-drawn Gantt):
 
 * no transaction executes before its arrival,
 * no transaction executes before its dependencies complete,
 * per-transaction execution never overlaps itself,
 * at most ``servers`` transactions execute at any instant,
 * every transaction receives exactly its processing time (within
-  tolerance; context-switch overhead is not part of a transaction's
-  processing time, so validate overhead-free schedules).
+  tolerance): a segment's context-switch ``overhead`` is server time,
+  not service, so it is subtracted.
 
 :func:`validate_schedule` raises :class:`~repro.errors.SimulationError`
 with a precise message on the first violation and returns quietly
@@ -21,11 +23,14 @@ otherwise.
 
 from __future__ import annotations
 
-from typing import Sequence
+from operator import attrgetter
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.transaction import Transaction
 from repro.errors import SimulationError
-from repro.sim.trace import Trace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.analyze.lifecycle import Segment
 
 __all__ = ["validate_schedule"]
 
@@ -33,63 +38,68 @@ _EPS = 1e-6
 
 
 def validate_schedule(
-    trace: Trace,
+    segments: Sequence[Segment],
     transactions: Sequence[Transaction],
     servers: int = 1,
 ) -> None:
-    """Raise :class:`SimulationError` unless ``trace`` is a valid schedule.
+    """Raise :class:`SimulationError` unless ``segments`` is a valid schedule.
 
     Examples
     --------
+    >>> from repro.obs import Recorder
+    >>> from repro.obs.analyze.lifecycle import reconstruct
     >>> from repro.policies import EDF
     >>> from repro.sim.engine import Simulator
     >>> txns = [Transaction(1, arrival=0, length=2, deadline=9)]
-    >>> result = Simulator(txns, EDF(), record_trace=True).run()
-    >>> validate_schedule(result.trace, txns)  # no exception
+    >>> recorder = Recorder()
+    >>> _ = Simulator(txns, EDF(), instrument=recorder).run()
+    >>> segments = reconstruct(recorder.events).segments
+    >>> segments
+    (Segment(txn_id=1, start=0.0, end=2.0, overhead=0.0),)
+    >>> validate_schedule(segments, txns)  # no exception
     """
     if servers < 1:
         raise SimulationError(f"servers must be >= 1, got {servers}")
     by_id = {t.txn_id: t for t in transactions}
 
-    received: dict[int, float] = {tid: 0.0 for tid in by_id}
-    finish: dict[int, float] = {}
-    for sl in trace:
-        if sl.txn_id not in by_id:
+    # Each transaction's segments, chronological.
+    own: dict[int, list[Segment]] = {tid: [] for tid in by_id}
+    for seg in segments:
+        if seg.txn_id not in by_id:
             raise SimulationError(
-                f"trace references unknown transaction {sl.txn_id}"
+                f"schedule references unknown transaction {seg.txn_id}"
             )
-        txn = by_id[sl.txn_id]
-        if sl.start < txn.arrival - _EPS:
-            raise SimulationError(
-                f"transaction {txn.txn_id} executed at {sl.start} "
-                f"before its arrival {txn.arrival}"
-            )
-        received[sl.txn_id] += sl.duration
-        finish[sl.txn_id] = max(finish.get(sl.txn_id, sl.end), sl.end)
+        own[seg.txn_id].append(seg)
+    for group in own.values():
+        group.sort(key=attrgetter("start"))
 
     for tid, txn in by_id.items():
-        if abs(received[tid] - txn.length) > _EPS * max(1.0, txn.length):
+        group = own[tid]
+        if group and group[0].start < txn.arrival - _EPS:
             raise SimulationError(
-                f"transaction {tid} received {received[tid]} time units, "
+                f"transaction {tid} executed at {group[0].start} "
+                f"before its arrival {txn.arrival}"
+            )
+        received = sum(seg.duration - seg.overhead for seg in group)
+        if abs(received - txn.length) > _EPS * max(1.0, txn.length):
+            raise SimulationError(
+                f"transaction {tid} received {received} time units, "
                 f"needs {txn.length}"
             )
-
-    # Self-overlap: a transaction's own slices must be disjoint.
-    for tid in by_id:
-        slices = trace.slices_of(tid)
-        for a, b in zip(slices, slices[1:]):
+        # Self-overlap: a transaction's own segments must be disjoint.
+        for a, b in zip(group, group[1:]):
             if b.start < a.end - _EPS:
                 raise SimulationError(
                     f"transaction {tid} overlaps itself: "
                     f"[{a.start}, {a.end}) and [{b.start}, {b.end})"
                 )
 
-    # Capacity: sweep over slice endpoints.
+    # Capacity: sweep over segment endpoints.
     events: list[tuple[float, int]] = []
-    for sl in trace:
-        events.append((sl.start, 1))
-        events.append((sl.end, -1))
-    events.sort(key=lambda e: (e[0], e[1]))  # ends before starts at ties
+    for seg in segments:
+        events.append((seg.start, 1))
+        events.append((seg.end, -1))
+    events.sort()  # ends (-1) before starts (+1) at ties
     active = 0
     for time, delta in events:
         active += delta
@@ -101,21 +111,18 @@ def validate_schedule(
 
     # Precedence: a dependent's first execution follows every
     # dependency's last.
-    first_start = {
-        tid: trace.slices_of(tid)[0].start if trace.slices_of(tid) else None
-        for tid in by_id
-    }
     for txn in by_id.values():
-        start = first_start[txn.txn_id]
-        if start is None:
+        group = own[txn.txn_id]
+        if not group:
             continue
+        start = group[0].start
         for dep in txn.depends_on:
-            dep_finish = finish.get(dep)
-            if dep_finish is None:
+            if not own.get(dep):
                 raise SimulationError(
                     f"transaction {txn.txn_id} ran but its dependency "
                     f"{dep} never completed"
                 )
+            dep_finish = max(seg.end for seg in own[dep])
             if start < dep_finish - _EPS:
                 raise SimulationError(
                     f"transaction {txn.txn_id} started at {start} before "

@@ -278,7 +278,6 @@ class WebDatabase:
     def run(
         self,
         policy: str | Scheduler = "asets-star",
-        record_trace: bool = False,
         servers: int = 1,
         **policy_kwargs,
     ) -> WebRunReport:
@@ -302,7 +301,6 @@ class WebDatabase:
             transactions,
             scheduler,
             workflow_set=workflow_set,
-            record_trace=record_trace,
             servers=servers,
         ).run()
         if self.profiler is not None:

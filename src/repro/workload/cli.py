@@ -22,6 +22,7 @@ from typing import Sequence
 
 from repro.errors import ReproError
 from repro.metrics.report import format_table
+from repro.obs.recorder import Recorder
 from repro.policies.registry import available_policies, make_policy
 from repro.sim.engine import Simulator
 from repro.sim.gantt import render_gantt
@@ -105,12 +106,15 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     workload = load_workload(args.path)
     kwargs = {"time_rate": 0.01} if args.policy == "balance-aware" else {}
+    # The chart is drawn from the run's event log, so only --gantt
+    # attaches a recorder (and loads the log analysis).
+    recorder = Recorder() if args.gantt else None
     result = Simulator(
         workload.transactions,
         make_policy(args.policy, **kwargs),
         workflow_set=workload.workflow_set,
-        record_trace=args.gantt,
         servers=args.servers,
+        instrument=recorder,
     ).run()
     rows = [
         ("policy", args.policy),
@@ -122,9 +126,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         ("makespan", result.makespan),
     ]
     print(format_table(["metric", "value"], rows))
-    if args.gantt:
+    if recorder is not None:
+        from repro.obs.analyze.lifecycle import reconstruct
+
         print()
-        print(render_gantt(result.trace, width=args.gantt_width))
+        segments = reconstruct(recorder.events).segments
+        print(render_gantt(segments, width=args.gantt_width))
     return 0
 
 

@@ -97,6 +97,17 @@ def load_workload(path: str | pathlib.Path) -> Workload:
             f"workload file {path} has a bad transaction record: "
             f"{type(exc).__name__}: {exc}"
         ) from exc
+    if len({t.txn_id for t in transactions}) != len(transactions):
+        raise WorkloadError(f"workload file {path} repeats a transaction id")
+    seed = payload["seed"]
+    mean_length = payload.get("mean_length", 0.0)
+    rate = payload.get("rate", 0.0)
+    # JSON gives exact types: a bool or a string is not a number here.
+    if type(seed) is not int:
+        raise WorkloadError(f"workload file {path} has a bad seed {seed!r}")
+    for key, value in (("mean_length", mean_length), ("rate", rate)):
+        if type(value) not in (int, float):
+            raise WorkloadError(f"workload file {path} has a bad {key} {value!r}")
     has_deps = any(t.depends_on for t in transactions)
     workflow_set = (
         WorkflowSet(transactions) if (spec.with_workflows or has_deps) else None
@@ -105,9 +116,9 @@ def load_workload(path: str | pathlib.Path) -> Workload:
         workflow_set.validate_acyclic()
     return Workload(
         spec=spec,
-        seed=payload["seed"],
+        seed=seed,
         transactions=transactions,
         workflow_set=workflow_set,
-        mean_length=payload.get("mean_length", 0.0),
-        rate=payload.get("rate", 0.0),
+        mean_length=mean_length,
+        rate=rate,
     )

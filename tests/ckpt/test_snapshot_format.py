@@ -468,6 +468,26 @@ class TestVersion8Layout:
         with pytest.raises(CheckpointError, match="checkpoint version 8"):
             load_checkpoint(checkpoint_path)
 
+    def test_v9_trace_checkpoint_rejected_at_load(self, checkpoint_path):
+        # Format 9's engine core carried a ``_trace`` field, which today's
+        # engine no longer has (who ran when is read from the event
+        # log).  The header version must stop it at load instead.
+        assert CKPT_VERSION > 9
+        _rewrite_state(
+            checkpoint_path, lambda state: state["core"].update(_trace=None)
+        )
+        data = checkpoint_path.read_bytes()
+        end = data.index(b"\n", len(CKPT_MAGIC))
+        header = json.loads(data[len(CKPT_MAGIC) : end])
+        header["version"] = 9
+        checkpoint_path.write_bytes(
+            CKPT_MAGIC
+            + json.dumps(header, separators=(",", ":")).encode()
+            + data[end:]
+        )
+        with pytest.raises(CheckpointError, match="checkpoint version 9"):
+            load_checkpoint(checkpoint_path)
+
     def test_layout_is_header_pool_state(self, checkpoint_path):
         data = checkpoint_path.read_bytes()
         _, pool_at, state_at = _sections(data)

@@ -5,6 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.transaction import Transaction
+from repro.obs.analyze.lifecycle import reconstruct
+from repro.obs.recorder import Recorder
+from repro.sim.engine import Simulator
 
 
 def make_txn(
@@ -54,3 +57,24 @@ def chain(*specs, start_id: int = 1) -> list[Transaction]:
             )
         )
     return txns
+
+
+def run_segments(transactions, policy, **options):
+    """Run ``policy`` over ``transactions`` with a recorder attached.
+
+    Returns the result and who ran when: the segments the run's event
+    log folds into (sorted by start, then transaction id).
+    """
+    recorder = Recorder()
+    result = Simulator(transactions, policy, instrument=recorder, **options).run()
+    return result, reconstruct(recorder.events).segments
+
+
+def first_execution_order(segments):
+    """Transaction ids in the order they first held a server."""
+    return list(dict.fromkeys(seg.txn_id for seg in segments))
+
+
+def busy_time(segments):
+    """Total server time across ``segments``."""
+    return sum(seg.duration for seg in segments)

@@ -9,7 +9,7 @@ from repro.obs.profile import PhaseProfiler
 from repro.policies import ASETS, EDF, NonPreemptive, SRPT, make_policy
 from repro.sim.engine import Simulator
 from repro.workload import WorkloadSpec, generate
-from tests.conftest import make_txn
+from tests.conftest import first_execution_order, make_txn, run_segments
 
 
 class TestBasics:
@@ -47,8 +47,8 @@ class TestPinning:
             make_txn(2, arrival=0.5, length=5.0, deadline=100.0),
             make_txn(3, arrival=0.5, length=1.0, deadline=100.0),
         ]
-        res = Simulator(txns, NonPreemptive(SRPT()), record_trace=True).run()
-        assert res.trace.order_of_first_execution() == [1, 3, 2]
+        _, segments = run_segments(txns, NonPreemptive(SRPT()))
+        assert first_execution_order(segments) == [1, 3, 2]
 
     def test_multiserver_pins_each_server(self):
         txns = [

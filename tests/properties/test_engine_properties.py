@@ -16,6 +16,7 @@ from repro.policies.registry import available_policies, make_policy
 from repro.sim.engine import Simulator
 from repro.workload.generator import generate
 from repro.workload.spec import WorkloadSpec
+from tests.conftest import busy_time, run_segments
 
 # ---------------------------------------------------------------------------
 # Strategies.
@@ -82,7 +83,7 @@ def test_every_transaction_completes(name, txns):
 @given(txns=transaction_pools(with_deps=True))
 @settings(max_examples=25, deadline=None)
 def test_dependencies_respected(name, txns):
-    res = Simulator(txns, _make(name), record_trace=True).run()
+    res = Simulator(txns, _make(name)).run()
     by_id = {t.txn_id: t for t in txns}
     finish = {r.txn_id: r.finish for r in res.records}
     start = {r.txn_id: r.first_start for r in res.records}
@@ -100,13 +101,12 @@ def test_dependencies_respected(name, txns):
 def test_work_conservation(name, txns):
     # The server is never idle while work is available: total busy time
     # equals total work, and within any busy period completions are
-    # back-to-back.  We verify via the trace: slice durations sum to the
-    # total work and slices never overlap.
-    res = Simulator(txns, _make(name), record_trace=True).run()
-    slices = res.trace.slices()
+    # back-to-back.  We verify via the event log's segments: their
+    # durations sum to the total work and they never overlap.
+    _, segments = run_segments(txns, _make(name))
     total_work = sum(t.length for t in txns)
-    assert res.trace.busy_time() == pytest.approx(total_work, rel=1e-6)
-    for a, b in zip(slices, slices[1:]):
+    assert busy_time(segments) == pytest.approx(total_work, rel=1e-6)
+    for a, b in zip(segments, segments[1:]):
         assert b.start >= a.end - 1e-9
 
 
@@ -114,10 +114,9 @@ def test_work_conservation(name, txns):
 @given(txns=transaction_pools())
 @settings(max_examples=25, deadline=None)
 def test_idle_only_when_nothing_ready(name, txns):
-    res = Simulator(txns, _make(name), record_trace=True).run()
-    slices = res.trace.slices()
+    _, segments = run_segments(txns, _make(name))
     arrivals = sorted(t.arrival for t in txns)
-    for a, b in zip(slices, slices[1:]):
+    for a, b in zip(segments, segments[1:]):
         if b.start > a.end + 1e-9:
             # A gap must coincide with "no pending work": some arrival
             # must occur exactly at the gap's end.
@@ -169,8 +168,8 @@ def test_schedules_pass_the_validator(name, txns):
     # arrival, precedence, capacity and work-total constraints.
     from repro.sim.validation import validate_schedule
 
-    res = Simulator(txns, _make(name), record_trace=True).run()
-    validate_schedule(res.trace, txns)
+    _, segments = run_segments(txns, _make(name))
+    validate_schedule(segments, txns)
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +239,8 @@ def test_power_of_two_time_scaling_is_exact(name, scaling_inputs):
 
     for txns in scaling_inputs:
         base_pool = _scaled_pool(txns, 0)
-        base = Simulator(
-            base_pool, _scaled_policy(name, 0), record_trace=True
-        ).run()
-        validate_schedule(base.trace, base_pool)
+        base, segments = run_segments(base_pool, _scaled_policy(name, 0))
+        validate_schedule(segments, base_pool)
         for k in _SCALE_EXPONENTS:
             res = Simulator(_scaled_pool(txns, k), _scaled_policy(name, k)).run()
             assert finish_order(res) == finish_order(base), f"k={k}"

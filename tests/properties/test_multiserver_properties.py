@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from repro.policies import ASETS, EDF, FCFS, SRPT
 from repro.sim.engine import Simulator
+from tests.conftest import busy_time, run_segments
 from tests.properties.test_engine_properties import transaction_pools
 
 
@@ -22,14 +23,13 @@ def test_all_complete_under_any_server_count(policy_cls, txns, servers):
 @settings(max_examples=20, deadline=None)
 def test_capacity_never_exceeded(policy_cls, txns, servers):
     # At no point in time may more than ``servers`` transactions be
-    # executing: checked from the trace via a sweep over slice endpoints.
-    res = Simulator(
-        txns, policy_cls(), servers=servers, record_trace=True
-    ).run()
+    # executing: checked from the event log's segments via a sweep over
+    # their endpoints.
+    _, segments = run_segments(txns, policy_cls(), servers=servers)
     events = []
-    for sl in res.trace:
-        events.append((sl.start, 1))
-        events.append((sl.end, -1))
+    for seg in segments:
+        events.append((seg.start, 1))
+        events.append((seg.end, -1))
     events.sort(key=lambda e: (e[0], e[1]))  # ends before starts at ties
     active = 0
     for _, delta in events:
@@ -41,11 +41,11 @@ def test_capacity_never_exceeded(policy_cls, txns, servers):
 @given(txns=transaction_pools())
 @settings(max_examples=15, deadline=None)
 def test_no_transaction_runs_on_two_servers(policy_cls, txns):
-    # A transaction's own slices never overlap each other.
-    res = Simulator(txns, policy_cls(), servers=3, record_trace=True).run()
+    # A transaction's own segments never overlap each other.
+    _, segments = run_segments(txns, policy_cls(), servers=3)
     for txn in txns:
-        slices = res.trace.slices_of(txn.txn_id)
-        for a, b in zip(slices, slices[1:]):
+        own = [seg for seg in segments if seg.txn_id == txn.txn_id]
+        for a, b in zip(own, own[1:]):
             assert b.start >= a.end - 1e-9
 
 
@@ -53,9 +53,9 @@ def test_no_transaction_runs_on_two_servers(policy_cls, txns):
 @given(txns=transaction_pools())
 @settings(max_examples=15, deadline=None)
 def test_total_work_preserved(policy_cls, txns):
-    res = Simulator(txns, policy_cls(), servers=2, record_trace=True).run()
+    _, segments = run_segments(txns, policy_cls(), servers=2)
     total = sum(t.length for t in txns)
-    assert res.trace.busy_time() == pytest.approx(total, rel=1e-6)
+    assert busy_time(segments) == pytest.approx(total, rel=1e-6)
 
 
 @given(txns=transaction_pools(max_size=8))

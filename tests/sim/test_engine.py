@@ -18,7 +18,7 @@ from repro.sim.event_queue import EventQueue
 from repro.sim.events import EventKind
 from repro.workload.generator import generate
 from repro.workload.spec import WorkloadSpec
-from tests.conftest import chain, make_txn
+from tests.conftest import chain, make_txn, run_segments
 
 
 class TestBasics:
@@ -72,7 +72,7 @@ class TestPreemption:
     def test_srpt_preempts_for_shorter_arrival(self):
         long = make_txn(1, arrival=0.0, length=10.0, deadline=100.0)
         short = make_txn(2, arrival=2.0, length=1.0, deadline=100.0)
-        res = Simulator([long, short], SRPT(), record_trace=True).run()
+        res = Simulator([long, short], SRPT()).run()
         assert res.record_of(2).finish == 3.0
         assert res.record_of(1).finish == 11.0
         assert res.record_of(1).preemptions == 1
@@ -80,10 +80,9 @@ class TestPreemption:
     def test_preempted_work_not_lost(self):
         long = make_txn(1, arrival=0.0, length=10.0, deadline=100.0)
         short = make_txn(2, arrival=6.0, length=1.0, deadline=100.0)
-        res = Simulator([long, short], SRPT(), record_trace=True).run()
+        _, segments = run_segments([long, short], SRPT())
         # 6 units done before preemption; only 4 remain afterwards.
-        slices = res.trace.slices_of(1)
-        assert [s.duration for s in slices] == [6.0, 4.0]
+        assert [s.duration for s in segments if s.txn_id == 1] == [6.0, 4.0]
 
     def test_resumption_does_not_count_as_preemption(self):
         # An arrival that does not change the winner must not bump the
@@ -96,8 +95,8 @@ class TestPreemption:
     def test_trace_coalesces_across_uninterrupted_events(self):
         running = make_txn(1, arrival=0.0, length=5.0, deadline=6.0)
         later = make_txn(2, arrival=1.0, length=5.0, deadline=50.0)
-        res = Simulator([running, later], EDF(), record_trace=True).run()
-        assert [s.txn_id for s in res.trace.slices()] == [1, 2]
+        _, segments = run_segments([running, later], EDF())
+        assert [s.txn_id for s in segments] == [1, 2]
 
 
 class TestDependencies:

@@ -6,7 +6,7 @@ from repro.errors import SimulationError
 from repro.policies import ASETS, ASETSStar, EDF, FCFS, SRPT
 from repro.sim.engine import Simulator
 from repro.workload import WorkloadSpec, generate
-from tests.conftest import chain, make_txn
+from tests.conftest import busy_time, chain, make_txn, run_segments
 
 
 class TestBasics:
@@ -81,10 +81,10 @@ class TestSchedulingSemantics:
             make_txn(i, arrival=0.0, length=2.0, deadline=1000.0)
             for i in range(1, 8)
         ]
-        res = Simulator(txns, SRPT(), servers=3, record_trace=True).run()
+        res, segments = run_segments(txns, SRPT(), servers=3)
         # 14 units of work over 3 servers: makespan ceil(7/3)*2 = 6.
         assert res.makespan == pytest.approx(6.0)
-        assert res.trace.busy_time() == pytest.approx(14.0)
+        assert busy_time(segments) == pytest.approx(14.0)
 
 
 class TestPolicies:

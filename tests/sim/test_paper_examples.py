@@ -10,7 +10,7 @@ import pytest
 
 from repro.policies import ASETS, EDF, SRPT
 from repro.sim.engine import Simulator
-from tests.conftest import make_txn
+from tests.conftest import first_execution_order, make_txn, run_segments
 
 #: Stand-in for the paper's "infinitely small" epsilon.
 EPS = 1e-6
@@ -89,8 +89,8 @@ class TestExample2SrptSideWins:
         return [t_srpt, t_edf]
 
     def test_asets_runs_srpt_first(self):
-        res = Simulator(self._txns(), ASETS(), record_trace=True).run()
-        assert res.trace.order_of_first_execution() == [1, 2]
+        _, segments = run_segments(self._txns(), ASETS())
+        assert first_execution_order(segments) == [1, 2]
 
     def test_resulting_tardiness(self):
         res = Simulator(self._txns(), ASETS()).run()
@@ -117,8 +117,8 @@ class TestExample3EdfSideWins:
         return [t_srpt, t_edf]
 
     def test_asets_runs_edf_first(self):
-        res = Simulator(self._txns(), ASETS(), record_trace=True).run()
-        assert res.trace.order_of_first_execution() == [2, 1]
+        _, segments = run_segments(self._txns(), ASETS())
+        assert first_execution_order(segments) == [2, 1]
 
     def test_resulting_tardiness(self):
         res = Simulator(self._txns(), ASETS()).run()

@@ -5,7 +5,8 @@ import pytest
 from repro.errors import SimulationError
 from repro.policies import EDF, FCFS, SRPT
 from repro.sim.engine import Simulator
-from tests.conftest import make_txn
+from repro.sim.validation import validate_schedule
+from tests.conftest import busy_time, make_txn, run_segments
 
 
 class TestBasics:
@@ -77,7 +78,21 @@ class TestContinuationSemantics:
 
     def test_trace_includes_overhead_in_slices(self):
         t = make_txn(1, arrival=0.0, length=2.0, deadline=100.0)
-        res = Simulator(
-            [t], EDF(), preemption_overhead=1.0, record_trace=True
-        ).run()
-        assert res.trace.busy_time() == pytest.approx(3.0)
+        _, segments = run_segments([t], EDF(), preemption_overhead=1.0)
+        assert busy_time(segments) == pytest.approx(3.0)
+        assert [seg.overhead for seg in segments] == [1.0]
+
+    @pytest.mark.parametrize("servers", [1, 2])
+    def test_overhead_schedule_validates(self, servers):
+        # Overhead is server time, not service: the validator takes each
+        # segment's overhead off, so a preempting run with overhead passes.
+        txns = [
+            make_txn(i, arrival=float(i), length=float(12 - i), deadline=100.0)
+            for i in range(1, 8)
+        ]
+        res, segments = run_segments(
+            txns, SRPT(), servers=servers, preemption_overhead=0.5
+        )
+        assert res.total_preemptions > 0
+        assert sum(seg.overhead for seg in segments) > 0
+        validate_schedule(segments, txns, servers=servers)

@@ -15,6 +15,7 @@ import repro.lint.suppress
 import repro.policies.registry
 import repro.sim.engine
 import repro.sim.event_queue
+import repro.sim.validation
 import repro.webdb.cache
 import repro.webdb.database
 import repro.webdb.pages
@@ -30,6 +31,7 @@ MODULES = [
     repro.policies.registry,
     repro.sim.engine,
     repro.sim.event_queue,
+    repro.sim.validation,
     repro.webdb.cache,
     repro.webdb.database,
     repro.webdb.pages,

@@ -5,6 +5,11 @@ rely on — every name in ``__all__`` must resolve, and the headline
 quickstart from the package docstring must work as written.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import repro
 
 
@@ -44,6 +49,24 @@ def test_subpackage_namespaces():
     assert callable(repro.workload.save_workload)
     assert callable(repro.metrics.render_chart)
     assert callable(repro.sim.render_gantt)
+    assert callable(repro.sim.validate_schedule)
+
+
+def test_sim_loads_no_log_analysis():
+    # Who ran when is read from the event log, but only on demand: the
+    # simulator package must not pull the log analysis in at import.
+    code = (
+        "import sys, repro.sim; "
+        "sys.exit(any(m.startswith('repro.obs.analyze') for m in sys.modules))"
+    )
+    src = pathlib.Path(repro.__file__).resolve().parents[1]
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        check=False,
+        timeout=60,
+    )
+    assert completed.returncode == 0
 
 
 def test_policy_registry_covers_readme_table():

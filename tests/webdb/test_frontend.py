@@ -176,9 +176,3 @@ class TestRun:
         )
         assert page_result.weighted_tardiness >= page_result.tardiness * 0
         assert page_result.met_all_deadlines == (page_result.tardiness == 0)
-
-    def test_trace_recording(self, wdb, page):
-        self._submit_some(wdb, page, n=2)
-        report = wdb.run("edf", record_trace=True)
-        assert report.simulation.trace is not None
-        assert len(report.simulation.trace) >= 1

@@ -12,6 +12,7 @@ from repro.sim.engine import Simulator
 from repro.workload.estimates import sample_estimates
 from repro.workload.generator import generate
 from repro.workload.spec import WorkloadSpec
+from tests.conftest import first_execution_order, run_segments
 
 
 class TestSampleEstimates:
@@ -101,8 +102,8 @@ class TestSchedulingWithEstimates:
                          length_estimate=9.0)
         t2 = Transaction(2, arrival=0.0, length=5.0, deadline=100.0,
                          length_estimate=1.0)
-        res = Simulator([t1, t2], SRPT(), record_trace=True).run()
-        assert res.trace.order_of_first_execution() == [2, 1]
+        _, segments = run_segments([t1, t2], SRPT())
+        assert first_execution_order(segments) == [2, 1]
 
     def test_engine_completes_on_truth_not_belief(self):
         t = Transaction(1, arrival=0.0, length=5.0, deadline=100.0,

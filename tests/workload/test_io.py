@@ -110,7 +110,8 @@ class TestErrors:
 
 def _corrupt(payload, how):
     """``payload`` broken one way: each used to escape ``load_workload``
-    as a bare KeyError, TypeError or AttributeError."""
+    as a bare KeyError, TypeError or AttributeError, or to load without
+    complaint (a repeated id, a non-numeric mean length, a list seed)."""
     records = payload["transactions"]
     if how == "record-missing-arrival":
         del records[0]["arrival"]
@@ -122,6 +123,12 @@ def _corrupt(payload, how):
         records[0]["length"] = "3.5"
     elif how == "top-level-list":
         return [payload]
+    elif how == "repeated-id":
+        records[1]["id"] = records[0]["id"]
+    elif how == "string-mean-length":
+        payload["mean_length"] = "8.3"
+    elif how == "list-seed":
+        payload["seed"] = [3]
     return payload
 
 
@@ -132,6 +139,9 @@ def _corrupt(payload, how):
         "transactions-null",
         "string-length",
         "top-level-list",
+        "repeated-id",
+        "string-mean-length",
+        "list-seed",
     )
 )
 def corrupt_file(request, tmp_path):
