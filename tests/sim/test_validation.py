@@ -45,8 +45,9 @@ class TestAcceptsRealSchedules:
             validate_schedule([Segment(1, 0.0, 3.0)], [txn])
 
     def test_segment_order_does_not_matter(self):
-        txns = chain((0.0, 1.0, 9.0), (0.0, 1.0, 9.0))
-        validate_schedule([Segment(2, 1.0, 2.0), Segment(1, 0.0, 1.0)], txns)
+        txns = chain((0.0, 2.0, 9.0), (0.0, 1.0, 9.0))
+        segments = [Segment(2, 3.0, 4.0), Segment(1, 2.0, 3.0), Segment(1, 0.0, 1.0)]
+        validate_schedule(segments, txns)
 
 
 class TestRejectsViolations:
@@ -87,8 +88,11 @@ class TestRejectsViolations:
     def test_dependency_never_completed(self):
         t1 = Transaction(1, arrival=0.0, length=1.0, deadline=9.0)
         t2 = Transaction(2, arrival=0.0, length=1.0, deadline=9.0, depends_on=[1])
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="received 0"):
             validate_schedule([Segment(2, 0.0, 1.0)], [t1, t2])
+        # Dependency 1 is outside the validated set: it never ran at all.
+        with pytest.raises(SimulationError, match="never completed"):
+            validate_schedule([Segment(2, 0.0, 1.0)], [t2])
 
     def test_servers_validated(self):
         with pytest.raises(SimulationError, match="servers"):
