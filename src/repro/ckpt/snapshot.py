@@ -5,7 +5,7 @@ File layout
 A checkpoint is one binary file::
 
     b"REPROCKPT\\n"            -- magic, rejects alien files cheaply
-    {"version": 10, ...}\\n      -- JSON header line (UTF-8)
+    {"version": 11, ...}\\n      -- JSON header line (UTF-8)
     <8-byte length>            -- little-endian size of the pool section
     <pool section>             -- the workload-static transaction pool
     <state section>            -- one pickle of what the run changed
@@ -115,7 +115,10 @@ CKPT_MAGIC = b"REPROCKPT\n"
 #: every singleton by value and every policy's id-to-transaction map.
 #: Version 10: the engine core has no ``_trace`` field (who ran when is
 #: read from the event log); a version-9 core carries it.
-CKPT_VERSION = 10
+#: Version 11: the event queue serves arrivals from a lane over the
+#: pool's columns and pickles the lane's cursor, not the pending
+#: arrivals; a version-10 queue holds every pending arrival in its heap.
+CKPT_VERSION = 11
 
 #: Keys every checkpoint header must carry.
 _HEADER_FIELDS = frozenset(

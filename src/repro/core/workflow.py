@@ -124,7 +124,6 @@ class Workflow:
     __slots__ = (
         "wf_id",
         "root_id",
-        "_members",
         "_order",
         "_member_seq",
         "_dirty",
@@ -152,12 +151,12 @@ class Workflow:
                 )
         self.wf_id = wf_id
         self.root_id = root_id
-        self._members = dict(members)
-        self._order = self._topological_order()
+        self._order = self._topological_order(members)
         # Members as objects in topological order: the refresh loop runs
         # at every invalidation of every touched workflow, and the
-        # id -> Transaction dict lookups are measurable there.
-        self._member_seq = tuple(self._members[tid] for tid in self._order)
+        # id -> Transaction dict lookups are measurable there.  With
+        # ``_order`` it is the whole membership.
+        self._member_seq = tuple(members[tid] for tid in self._order)
         self._dirty = True
         self._rep: RepresentativeView | None = None
         # Plain-slot aggregate mirror of the representative view, valid
@@ -173,15 +172,17 @@ class Workflow:
         self.rep_weight = -_INF
         self.head_txn: Transaction | None = None
 
-    def _topological_order(self) -> tuple[int, ...]:
+    def _topological_order(
+        self, members: Mapping[int, Transaction]
+    ) -> tuple[int, ...]:
         """Return member ids in a dependency-respecting order.
 
         Kahn's algorithm with a deterministic (smallest-id-first) tie
         break; raises :class:`InvalidWorkflowError` on cycles.
         """
-        indegree = {tid: 0 for tid in self._members}
-        dependents: dict[int, list[int]] = {tid: [] for tid in self._members}
-        for txn in self._members.values():
+        indegree = {tid: 0 for tid in members}
+        dependents: dict[int, list[int]] = {tid: [] for tid in members}
+        for txn in members.values():
             for dep in txn.depends_on:
                 indegree[txn.txn_id] += 1
                 dependents[dep].append(txn.txn_id)
@@ -199,7 +200,7 @@ class Workflow:
                     while lo < len(frontier) and frontier[lo] < succ:
                         lo += 1
                     frontier.insert(lo, succ)
-        if len(order) != len(self._members):
+        if len(order) != len(members):
             raise InvalidWorkflowError(
                 f"workflow {self.wf_id} contains a dependency cycle"
             )
@@ -215,13 +216,13 @@ class Workflow:
 
     def members(self) -> Iterable[Transaction]:
         """Iterate members in topological order."""
-        return (self._members[tid] for tid in self._order)
+        return iter(self._member_seq)
 
     def __contains__(self, txn_id: int) -> bool:
-        return txn_id in self._members
+        return txn_id in self._order
 
     def __len__(self) -> int:
-        return len(self._members)
+        return len(self._order)
 
     def invalidate(self) -> None:
         """Mark cached head/representative stale (member state changed).
@@ -317,7 +318,7 @@ class Workflow:
     @property
     def is_completed(self) -> bool:
         """True once every member has completed."""
-        return all(txn.is_completed for txn in self._members.values())
+        return all(txn.is_completed for txn in self._member_seq)
 
     # ------------------------------------------------------------------
     # Head and representative transactions.

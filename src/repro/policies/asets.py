@@ -78,7 +78,6 @@ class _Singleton(Workflow):
         self._view = view
         self.wf_id = wf_id
         self.root_id = txn.txn_id
-        self._members = {txn.txn_id: txn}
         self._order = (txn.txn_id,)
         self._member_seq = (txn,)
         self._dirty = True

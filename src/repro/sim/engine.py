@@ -109,15 +109,24 @@ _FAULT_KINDS = frozenset(
 
 
 def _dependents_of(txns: dict[int, Transaction]) -> dict[int, list[int]]:
-    """Reverse dependency lists: id -> ids that list it, in pool order."""
-    dependents: dict[int, list[int]] = {tid: [] for tid in txns}
+    """Reverse dependency lists: id -> ids that list it, in pool order.
+
+    Only transactions that something depends on have an entry.
+    """
+    dependents: dict[int, list[int]] = {}
     for txn in txns.values():
         for dep in txn.depends_on:
             if dep not in txns:
                 raise SimulationError(
                     f"transaction {txn.txn_id} depends on unknown id {dep}"
                 )
-            dependents[dep].append(txn.txn_id)
+            listed = dependents.get(dep)
+            if listed is None:
+                # A one-element literal: append on an empty list would
+                # reserve four slots, and most lists stay at one.
+                dependents[dep] = [txn.txn_id]
+            else:
+                listed.append(txn.txn_id)
     return dependents
 
 
@@ -305,10 +314,17 @@ class Simulator:
         if workflow_set is None and policy.requires_workflows:
             workflow_set = WorkflowSet(list(transactions))
         if workflow_set is not None:
-            if workflow_set.transactions.keys() != self._txns.keys():
+            pool = workflow_set.transactions
+            if pool.keys() != self._txns.keys():
                 raise SimulationError(
                     "workflow_set was built over a different transaction pool"
                 )
+            for txn_id, txn in self._txns.items():
+                if pool[txn_id] is not txn:
+                    raise SimulationError(
+                        "workflow_set was built over other transaction "
+                        f"objects: transaction {txn_id} is not the pool's"
+                    )
         self._workflows = workflow_set
         self._dependents = _dependents_of(self._txns)
         self._check_acyclic()
@@ -328,13 +344,19 @@ class Simulator:
         self.preemptions = 0
 
     def _check_acyclic(self) -> None:
-        indegree = {tid: len(txn.depends_on) for tid, txn in self._txns.items()}
-        frontier = [tid for tid, deg in indegree.items() if deg == 0]
+        indegree = {
+            tid: len(txn.depends_on)
+            for tid, txn in self._txns.items()
+            if txn.depends_on
+        }
+        frontier = [
+            tid for tid, txn in self._txns.items() if not txn.depends_on
+        ]
         visited = 0
         while frontier:
             tid = frontier.pop()
             visited += 1
-            for succ in self._dependents[tid]:
+            for succ in self._dependents.get(tid, ()):
                 indegree[succ] -= 1
                 if indegree[succ] == 0:
                     frontier.append(succ)
@@ -434,8 +456,10 @@ class Simulator:
         if self._workflows is not None:
             for wf in self._workflows:
                 wf.invalidate()
-        self._events = EventQueue()
-        self._seq = itertools.count()
+        # Arrivals come off the pool's columns through the queue's lane,
+        # with seqs 0..n-1 in pool order; run-time events continue at n.
+        self._events = EventQueue(self._table)
+        self._seq = itertools.count(len(self._txns))
         self._pending_deps = {
             tid: len(txn.depends_on) for tid, txn in self._txns.items()
         }
@@ -454,16 +478,6 @@ class Simulator:
         # profiler the policy's stage methods stay unwrapped.
         self._policy.attach_probe(
             self._profiler.probe() if self._profiler is not None else None
-        )
-        # Seed arrivals off the flat columns in one bulk push: one
-        # contiguous float read per transaction, then one heapify.
-        table = self._table
-        seq = self._seq
-        self._events.push_all(
-            [
-                Event(arrival, EventKind.ARRIVAL, next(seq), txn_id)
-                for arrival, txn_id in zip(table.arrival, table.ids)
-            ]
         )
         if self._faults is not None:
             self._fault_state = {
@@ -636,7 +650,7 @@ class Simulator:
         touched here: its dependencies completed before it first ran, so
         its pending count is already zero.
         """
-        for dep_id in self._dependents[txn.txn_id]:
+        for dep_id in self._dependents.get(txn.txn_id, ()):
             self._pending_deps[dep_id] -= 1
             dependent = self._txns[dep_id]
             if (

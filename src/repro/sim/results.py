@@ -176,19 +176,23 @@ class RecordColumns(Sequence[TransactionRecord]):
     def from_transactions(cls, txns: Sequence[Transaction]) -> "RecordColumns":
         """The columns of a finished pool, in its order.
 
-        Each column is one C-level attribute read over the pool.  A pool
-        holding a transaction without an outcome or a start time takes
-        the per-record path instead: :meth:`TransactionRecord.from_transaction`
-        raises for an unfinished transaction or a completed one that
-        never started, and a shed one keeps NaN as its start.
+        Each column is one C-level attribute read over the pool, listed
+        one column at a time: an ``array`` built from a list is sized
+        exactly (one built from an iterator over-allocates, and a kept
+        result holds its arrays).  A pool holding a transaction without
+        an outcome or a start time takes the per-record path instead:
+        :meth:`TransactionRecord.from_transaction` raises for an
+        unfinished transaction or a completed one that never started,
+        and a shed one keeps NaN as its start.
         """
-        columns: list[Any] = [list(map(attrgetter(a), txns)) for a in _TXN_ATTRS]
+        columns: list[Any] = [map(attrgetter(a), txns) for a in _TXN_ATTRS]
+        columns[8] = map(_TXN_OUTCOMES.index, columns[8])
         try:
-            columns[8] = array("B", map(_TXN_OUTCOMES.index, columns[8]))
-            columns[6] = array("d", columns[6])
+            return cls(
+                tuple(array(t, list(c)) for t, c in zip(_TYPECODES, columns))
+            )
         except (ValueError, TypeError):
             return cls.from_records(map(TransactionRecord.from_transaction, txns))
-        return cls(tuple(array(t, c) for t, c in zip(_TYPECODES, columns)))
 
     @classmethod
     def from_records(cls, records: Iterable[TransactionRecord]) -> "RecordColumns":

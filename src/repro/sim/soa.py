@@ -12,7 +12,7 @@ pins each transaction to a dense index in **pool order** (the order the
 pool was handed to the engine — also the iteration order of the engine's
 ``_txns`` dict, which older scan code relied on) and keeps
 
-* the ``ids`` and ``arrival`` columns that seed the event queue;
+* the ``ids`` and ``arrival`` columns the event queue's arrival lane reads;
 * the **ready set** as a set of dense indices, maintained by the engine
   at the exact sites that previously incremented/decremented its ready
   counter.  ``ready_count`` is O(1) and

@@ -119,7 +119,8 @@ def generate(spec: WorkloadSpec, seed: int = 0) -> Workload:
     rate = arrival_rate(spec.utilization, mean_length)
     arrivals = poisson_arrivals(_substream(seed, _STREAM_ARRIVALS), n, rate)
 
-    depends_on: dict[int, set[int]] = {i: set() for i in range(n)}
+    # Dependency lists of the transactions that have any.
+    depends_on: dict[int, list[int]] = {}
     if spec.with_workflows:
         plan = plan_chains(
             _substream(seed, _STREAM_CHAINS),
@@ -128,8 +129,11 @@ def generate(spec: WorkloadSpec, seed: int = 0) -> Workload:
             spec.max_workflows_per_txn,
         )
         depends_on = plan.depends_on
-        covered = {i for chain in plan.chains for i in chain}
-        uncovered = [i for i in range(n) if i not in covered]
+        covered = bytearray(n)
+        for chain in plan.chains:
+            for i in chain:
+                covered[i] = 1
+        uncovered = [i for i in range(n) if not covered[i]]
         if uncovered:
             raise WorkloadError(
                 f"chain planning left transactions without a chain: {uncovered}"
@@ -159,7 +163,7 @@ def generate(spec: WorkloadSpec, seed: int = 0) -> Workload:
             length=float(lengths[i]),
             deadline=deadlines[i],
             weight=weights[i],
-            depends_on=sorted(depends_on[i]),
+            depends_on=sorted(depends_on.get(i, ())),
             length_estimate=estimates[i],
         )
         for i in range(n)

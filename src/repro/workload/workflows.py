@@ -49,12 +49,14 @@ class ChainPlan:
         Each chain is a list of transaction indices in arrival order,
         linked leaf-to-root: element ``j+1`` depends on element ``j``.
     depends_on:
-        Per-transaction dependency sets implied by the chains (direct
-        predecessors only; the transitive closure is the workflow).
+        Dependency lists implied by the chains (direct predecessors only,
+        each listed once; the transitive closure is the workflow), keyed
+        by index for the transactions that have any: an independent one
+        has no entry.
     """
 
     chains: list[list[int]] = field(default_factory=list)
-    depends_on: dict[int, set[int]] = field(default_factory=dict)
+    depends_on: dict[int, list[int]] = field(default_factory=dict)
 
     @property
     def n_chains(self) -> int:
@@ -94,7 +96,8 @@ def plan_chains(
         raise WorkloadError("chain parameters must be >= 1")
 
     budget = [rng.randint(1, max_workflows_per_txn) for _ in range(n)]
-    plan = ChainPlan(depends_on={i: set() for i in range(n)})
+    plan = ChainPlan()
+    depends_on = plan.depends_on
     cursor = 0
     while cursor < n:
         target_len = rng.randint(1, max_workflow_length)
@@ -108,7 +111,11 @@ def plan_chains(
             break
         plan.chains.append(members)
         for prev, succ in zip(members, members[1:]):
-            plan.depends_on[succ].add(prev)
+            preds = depends_on.get(succ)
+            if preds is None:
+                depends_on[succ] = [prev]
+            elif prev not in preds:
+                preds.append(prev)
         for m in members:
             budget[m] -= 1
         # Advance by a random offset within the chain so later chains can

@@ -26,6 +26,8 @@ from repro.experiments.runner import generate_workloads, run_policy_on
 from repro.obs import NullInstrument, Recorder, RunTelemetry, StreamingRecorder
 from repro.policies.asets import ASETS
 from repro.sim.engine import Simulator
+from repro.sim.event_queue import _from_columns
+from repro.sim.events import Event, EventKind
 from repro.workload.spec import WorkloadSpec
 
 
@@ -78,7 +80,7 @@ class _V1Queue:
         self.queue = queue
 
     def __reduce__(self):
-        pairs = [(tuple(event[:3]), event) for event in self.queue]
+        pairs = [(tuple(event[:3]), event) for event in self.queue._heap]
         return object.__new__, (type(self.queue),), (None, {"_heap": pairs})
 
 
@@ -488,6 +490,59 @@ class TestVersion8Layout:
         with pytest.raises(CheckpointError, match="checkpoint version 9"):
             load_checkpoint(checkpoint_path)
 
+    def test_v10_pending_arrivals_checkpoint_rejected_at_load(
+        self, checkpoint_path
+    ):
+        # Format 10 pickled every pending arrival in the event heap, as
+        # one list per Event field; today's queue pickles its arrival
+        # lane's cursor ahead of the heap columns.  The header version
+        # must stop it at load instead.
+        assert CKPT_VERSION > 10
+
+        class V10Queue:
+            def __init__(self, queue):
+                self.queue = queue
+
+            def __reduce__(self):
+                q = self.queue
+                lane = q._lane
+                pending = [
+                    Event(lane.arrival[i], EventKind.ARRIVAL, i, lane.ids[i])
+                    for i in range(q._next, len(lane.ids))
+                ]
+                heap = q._heap + pending
+                columns = tuple(map(list, zip(*heap)))
+                return _from_columns, columns
+
+        _rewrite_state(
+            checkpoint_path,
+            lambda state: state["core"].update(
+                _events=V10Queue(state["core"]["_events"])
+            ),
+        )
+        data = checkpoint_path.read_bytes()
+        end = data.index(b"\n", len(CKPT_MAGIC))
+        header = json.loads(data[len(CKPT_MAGIC) : end])
+        header["version"] = 10
+        checkpoint_path.write_bytes(
+            CKPT_MAGIC
+            + json.dumps(header, separators=(",", ":")).encode()
+            + data[end:]
+        )
+        with pytest.raises(CheckpointError, match="checkpoint version 10"):
+            load_checkpoint(checkpoint_path)
+
+    def test_checkpoint_keeps_the_arrival_cursor_not_the_arrivals(
+        self, checkpoint_path
+    ):
+        # The lane is the rebuilt pool's table (a pool reference), so the
+        # state section carries only how many arrivals were served.
+        core = load_checkpoint(checkpoint_path).core
+        events = core["_events"]
+        assert events._lane is core["_table"]
+        assert 0 < events._next <= 80
+        assert EventKind.ARRIVAL not in {event.kind for event in events._heap}
+
     def test_layout_is_header_pool_state(self, checkpoint_path):
         data = checkpoint_path.read_bytes()
         _, pool_at, state_at = _sections(data)
@@ -557,7 +612,7 @@ class TestVersion8Layout:
         static = {name for name, _ in snapshot._POOL_COLUMNS} | {"depends_on"}
         assert static.isdisjoint(snapshot._TXN_SLOTS)
         assert static | set(snapshot._TXN_SLOTS) == set(Transaction.__slots__)
-        constructed = {"wf_id", "root_id", "_members", "_order", "_member_seq"}
+        constructed = {"wf_id", "root_id", "_order", "_member_seq"}
         assert constructed | set(snapshot._WORKFLOW_SLOTS) == set(
             Workflow.__slots__
         )

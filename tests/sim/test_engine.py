@@ -5,17 +5,18 @@ from collections import Counter
 import pytest
 
 from repro.core.transaction import Transaction, TransactionState
+from repro.core.workflow_set import WorkflowSet
 from repro.errors import InvalidTransactionError, SchedulingError, SimulationError
 from repro.experiments.config import PolicySpec
 from repro.experiments.runner import run_policy_on
 from repro.faults import parse_fault_spec
 from repro.obs.recorder import Recorder
-from repro.policies import EDF, FCFS, SRPT
+from repro.policies import EDF, FCFS, SRPT, ASETSStar
 from repro.policies.base import Scheduler
 from repro.policies.registry import available_policies
 from repro.sim.engine import Simulator
 from repro.sim.event_queue import EventQueue
-from repro.sim.events import EventKind
+from repro.sim.events import Event, EventKind
 from repro.workload.generator import generate
 from repro.workload.spec import WorkloadSpec
 from tests.conftest import chain, make_txn, run_segments
@@ -40,6 +41,30 @@ class TestBasics:
         b = Transaction(2, arrival=0, length=1, deadline=5, depends_on=[1])
         with pytest.raises(SimulationError):
             Simulator([a, b], EDF())
+
+    def test_workflow_set_over_another_pool_copy_rejected(self):
+        # Two generations of one spec and seed: equal ids, other objects.
+        # The run would otherwise exhaust its events with every
+        # transaction unfinished, since the policy watches the other copy.
+        spec = WorkloadSpec(
+            n_transactions=300, utilization=0.9, weighted=True, with_workflows=True
+        )
+        mine, other = generate(spec, 3), generate(spec, 3)
+        first = mine.transactions[0].txn_id
+        with pytest.raises(SimulationError, match=f"transaction {first} "):
+            Simulator(
+                mine.transactions,
+                ASETSStar(),
+                workflow_set=other.workflow_set,
+            )
+
+    def test_workflow_set_with_one_foreign_object_names_it(self):
+        txns = [make_txn(1), make_txn(2), make_txn(3)]
+        copy = [make_txn(1), make_txn(2), make_txn(3)]
+        workflows = WorkflowSet([txns[0], copy[1], txns[2]])
+        with pytest.raises(SimulationError, match="transaction 2 is not"):
+            Simulator(txns, ASETSStar(), workflow_set=workflows)
+        Simulator(txns, ASETSStar(), workflow_set=WorkflowSet(txns)).run()
 
     def test_single_transaction_runs_immediately(self):
         t = make_txn(arrival=3.0, length=2.0, deadline=10.0)
@@ -138,27 +163,36 @@ class TestDependencies:
 
 @pytest.fixture
 def event_log(monkeypatch):
-    """Every event pushed to and popped from any queue, in order."""
+    """Every event pushed to and popped from any queue, in order.
+
+    A queue's arrival lane counts as pushing its arrivals when the queue
+    is built, in pool order with seqs 0..n-1, as if pushed one by one.
+    """
     log = {"pushed": [], "popped": []}
-    push, push_all = EventQueue.push, EventQueue.push_all
+    init, push = EventQueue.__init__, EventQueue.push
     pop_batch = EventQueue.pop_batch
+
+    def logged_init(self, lane=None, start=0):
+        init(self, lane, start)
+        if lane is not None:
+            log["pushed"].extend(
+                Event(arrival, EventKind.ARRIVAL, seq, txn_id)
+                for seq, (arrival, txn_id) in enumerate(
+                    zip(lane.arrival[start:], lane.ids[start:]), start
+                )
+            )
 
     def logged_push(self, event):
         log["pushed"].append(event)
         push(self, event)
-
-    def logged_push_all(self, events):
-        events = list(events)
-        log["pushed"].extend(events)
-        push_all(self, events)
 
     def logged_pop_batch(self):
         batch = pop_batch(self)
         log["popped"].extend(batch)
         return batch
 
+    monkeypatch.setattr(EventQueue, "__init__", logged_init)
     monkeypatch.setattr(EventQueue, "push", logged_push)
-    monkeypatch.setattr(EventQueue, "push_all", logged_push_all)
     monkeypatch.setattr(EventQueue, "pop_batch", logged_pop_batch)
     return log
 

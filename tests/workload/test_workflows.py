@@ -66,7 +66,7 @@ class TestChainStructure:
     def test_union_is_acyclic(self):
         plan = plan_chains(random.Random(8), 120, 6, 4)
         # Forward-pointing edges guarantee acyclicity; verify by toposort.
-        indegree = {i: len(plan.depends_on[i]) for i in range(120)}
+        indegree = {i: len(plan.depends_on.get(i, ())) for i in range(120)}
         dependents = {i: [] for i in range(120)}
         for succ, preds in plan.depends_on.items():
             for p in preds:
@@ -90,10 +90,10 @@ class TestChainStructure:
     def test_single_transaction_pool(self):
         plan = plan_chains(random.Random(0), 1, 5, 3)
         assert plan.chains[0] == [0]
-        assert plan.depends_on[0] == set()
+        assert plan.depends_on == {}  # only dependents get an entry
 
     def test_length_one_chains_possible(self):
         # L_max = 1: every workflow is a singleton.
         plan = plan_chains(random.Random(1), 50, 1, 1)
         assert all(len(c) == 1 for c in plan.chains)
-        assert all(not deps for deps in plan.depends_on.values())
+        assert plan.depends_on == {}
